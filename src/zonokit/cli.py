@@ -25,7 +25,6 @@ from .sets import (
     Halfspace,
     HPolytope,
     Zonotope,
-    as_conzono,
     generalized_intersection,
     linear_map,
     minkowski_sum,
@@ -287,10 +286,13 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.lp_tol is not None and not 0.0 < args.lp_tol < np.inf:
+            parser.error("--lp-tol must be finite and positive")
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    if getattr(args, "lp_tol", None):
-        numerics.LP_TOL = float(args.lp_tol)
+    saved_tol = numerics.LP_TOL
+    if args.lp_tol is not None:
+        numerics.LP_TOL = args.lp_tol
     try:
         return _run(args)
     except SchemaError as exc:
@@ -302,6 +304,8 @@ def main(argv=None):
     except (EmptySetError, ValueError, TypeError, OSError) as exc:
         print(f"zonokit: error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
+    finally:
+        numerics.LP_TOL = saved_tol
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from .sets import (
     HPolytope,
     Zonotope,
     _make,
+    _plain_zonotope,
     as_conzono,
     is_empty,
 )
@@ -45,12 +46,24 @@ def _vec(M):
     return np.asarray(M, dtype=float).reshape(-1, order="F")
 
 
-def _require_zonotope(Z, name):
-    if isinstance(Z, Zonotope):
-        return Z
-    if isinstance(Z, ConstrainedZonotope) and Z.n_c == 0:
-        return Zonotope(Z.c, Z.G)
-    raise ValueError(f"{name} must be an unconstrained zonotope")
+def _scaled_columns(G, T):
+    """Coefficient matrix C with C @ phi = vec(G diag(phi) T), column-major."""
+    cols = T.T[:, None, :] * G[None, :, :]
+    return cols.reshape(T.shape[1] * G.shape[0], G.shape[1])
+
+
+def _coefficient_polytope(A, b):
+    """Parametrize {xi : A xi = b, |xi| <= 1} as xi = s + T xi', H xi' <= f.
+
+    s is the least-norm solution, T a null-space basis (A must have full
+    row rank), H = [T; -T] and f = [1 - s; 1 + s]; ``live`` marks the
+    nonzero rows of H.  Returns ``(s, T, H, f, live)``.
+    """
+    s = pinv_solve(A, b)
+    T = nullspace_basis(A)
+    H = np.vstack([T, -T])
+    f = np.concatenate([1.0 - s, 1.0 + s])
+    return s, T, H, f, np.abs(H).max(axis=1, initial=0.0) > 1e-12
 
 
 class ContainmentCertificate:
@@ -87,6 +100,88 @@ class ScalingResult:
 
     def __repr__(self):
         return f"ScalingResult(phi={np.array2string(self.phi, precision=4)})"
+
+
+def _zonotope_certificate(b, G_y, blocks, center, rhs, phi_budget=False):
+    """Load the certificate of {G_x, c_x} inside {G_y, c_y} into builder b.
+
+    Sadraddini and Tedrake's encoding ("Linear encodings for polytope
+    containment problems", CDC 2019): G_x = G_y Gamma, c_y - c_x =
+    G_y beta and |Gamma| 1 + |beta| <= 1 row-wise, over the splits
+    Gamma = P - N, beta = bp - bn.  ``blocks`` are G_x's column blocks
+    (G_k, scaled); a scaled one is G_k diag(phi), phi being the builder's
+    "phi" block.  The center row is G_y beta + center @ x = rhs.
+    ``phi_budget`` scales the outer generators, so the budget is <= phi.
+    Returns a reader of the certificate (gamma = [Gamma_1 Gamma_2 ...],
+    beta) from a solution vector.
+    """
+    ngy = G_y.shape[1]
+    splits = [(b.var(f"g{k}p", (ngy, G.shape[1]), lo=0.0),
+               b.var(f"g{k}n", (ngy, G.shape[1]), lo=0.0))
+              for k, (G, _) in enumerate(blocks)]
+    b.var("bp", ngy, lo=0.0)
+    b.var("bn", ngy, lo=0.0)
+    eye = np.eye(ngy)
+    budget = {"bp": eye, "bn": eye}
+    if phi_budget:
+        budget["phi"] = -eye
+    for (p, n), (G, scaled) in zip(splits, blocks):
+        match = lin_coeff((ngy, G.shape[1]), left=G_y)
+        if scaled:
+            b.eq({"phi": _scaled_columns(G, np.eye(G.shape[1])),
+                  p: -match, n: match}, np.zeros(match.shape[0]))
+        else:
+            b.eq({p: match, n: -match}, _vec(G))
+        budget[p] = budget[n] = row_abs_coeff((ngy, G.shape[1]))
+    b.eq({"bp": G_y, "bn": -G_y, **center}, rhs)
+    b.le(budget, np.full(ngy, 0.0 if phi_budget else 1.0))
+    return lambda x: ContainmentCertificate(
+        np.hstack([b.value(x, p) - b.value(x, n) for p, n in splits]),
+        b.value(x, "bp") - b.value(x, "bn"))
+
+
+def _ah_certificate(b, Y, X_x, Hx, fx, center, rhs, T=None):
+    """Load the certificate of {x_c + X_x xi : Hx xi <= fx} inside the
+    affine polytope Y into builder b.
+
+    Sadraddini and Tedrake's affine-polytope encoding (CDC 2019): gamma,
+    beta and lam >= 0 with Y.X gamma = X_x, Y.X beta = Y.xbar - x_c,
+    lam Hx = H_y gamma and lam fx <= f_y + H_y beta.  With ``T`` the
+    inner map is X_x diag(phi) T, phi being the builder's "phi" block.
+    The center row is Y.X beta + center @ x = rhs.  Returns a reader of
+    the certificate (gamma, beta, lam) from a solution vector.
+    """
+    mx, my = Hx.shape[1], Y.X.shape[1]
+    Hy, fy = Y.P.H, Y.P.f
+    nhx, nhy = Hx.shape[0], Hy.shape[0]
+    b.var("gam", (my, mx))
+    b.var("beta", my)
+    b.var("lam", (nhy, nhx), lo=0.0)
+    match = lin_coeff((my, mx), left=Y.X)
+    if T is None:
+        b.eq({"gam": match}, _vec(X_x))
+    else:
+        b.eq({"phi": _scaled_columns(X_x, T), "gam": -match},
+             np.zeros(match.shape[0]))
+    b.eq({"beta": Y.X, **center}, rhs)
+    b.eq({"lam": lin_coeff((nhy, nhx), right=Hx),
+          "gam": -lin_coeff((my, mx), left=Hy)},
+         np.zeros(nhy * mx))
+    b.le({"lam": lin_coeff((nhy, nhx), right=fx.reshape(-1, 1)),
+          "beta": -Hy},
+         fy)
+    return lambda x: ContainmentCertificate(
+        b.value(x, "gam"), b.value(x, "beta"), b.value(x, "lam"))
+
+
+def _certify(b, read):
+    """Solve a containment program: its certificate, or None if infeasible."""
+    out = solve_lp(b.build())
+    if out.status == INFEASIBLE:
+        return None
+    if not out.ok:
+        raise NumericalError(f"containment LP failed: {out.status}")
+    return read(out.x)
 
 
 class AhPolytope:
@@ -129,32 +224,14 @@ def zonotope_contains(X, Y):
     when Y is a parallelotope).  Solver breakdowns raise instead of
     masquerading as either verdict.
     """
-    X = _require_zonotope(X, "X")
-    Y = _require_zonotope(Y, "Y")
+    X = _plain_zonotope(X, "X")
+    Y = _plain_zonotope(Y, "Y")
     if X.n != Y.n:
         raise ValueError("sets must share a dimension")
-    ngx, ngy = X.n_g, Y.n_g
 
     b = LpBuilder()
-    b.var("gp", (ngy, ngx), lo=0.0)
-    b.var("gn", (ngy, ngx), lo=0.0)
-    b.var("bp", ngy, lo=0.0)
-    b.var("bn", ngy, lo=0.0)
-    gen_map = lin_coeff((ngy, ngx), left=Y.G)
-    b.eq({"gp": gen_map, "gn": -gen_map}, _vec(X.G))
-    b.eq({"bp": Y.G, "bn": -Y.G}, Y.c - X.c)
-    rows = row_abs_coeff((ngy, ngx))
-    eye = np.eye(ngy)
-    b.le({"gp": rows, "gn": rows, "bp": eye, "bn": eye}, np.ones(ngy))
-
-    out = solve_lp(b.build())
-    if out.status == INFEASIBLE:
-        return None
-    if not out.ok:
-        raise NumericalError(f"containment LP failed: {out.status}")
-    gamma = b.value(out.x, "gp") - b.value(out.x, "gn")
-    beta = b.value(out.x, "bp") - b.value(out.x, "bn")
-    return ContainmentCertificate(gamma, beta)
+    return _certify(
+        b, _zonotope_certificate(b, Y.G, [(X.G, False)], {}, Y.c - X.c))
 
 
 def zonotope_containment_residual(X, Y, cert):
@@ -162,8 +239,8 @@ def zonotope_containment_residual(X, Y, cert):
 
     Below RESIDUAL_TOL the certificate is sound.
     """
-    X = _require_zonotope(X, "X")
-    Y = _require_zonotope(Y, "Y")
+    X = _plain_zonotope(X, "X")
+    Y = _plain_zonotope(Y, "Y")
     r1 = np.abs(Y.G @ cert.gamma - X.G).max(initial=0.0)
     r2 = np.abs(Y.G @ cert.beta - (Y.c - X.c)).max(initial=0.0)
     r3 = (np.abs(cert.gamma).sum(axis=1) + np.abs(cert.beta) - 1.0).max(initial=0.0)
@@ -184,7 +261,7 @@ def inner_reduce_zonotope(Z, n_r, return_map=False):
     With ``return_map`` the fold matrix and sort order come back too,
     as ``(Z_r, T, order)`` with ``Z_r.G == Z.G[:, order] @ T``.
     """
-    Z = _require_zonotope(Z, "Z")
+    Z = _plain_zonotope(Z, "Z")
     n_r = int(n_r)
     if not 1 <= n_r < Z.n_g:
         raise ValueError(f"n_r must be in [1, {Z.n_g - 1}], got {n_r}")
@@ -220,11 +297,7 @@ def conzono_to_ah(Z):
     Z = as_conzono(Z)
     if is_empty(Z):
         raise EmptySetError("cannot convert an empty set")
-    s = pinv_solve(Z.A, Z.b)
-    T = nullspace_basis(Z.A)
-    H = np.vstack([T, -T])
-    f = np.concatenate([1.0 - s, 1.0 + s])
-    live = np.abs(H).max(axis=1, initial=0.0) > 1e-12
+    s, T, H, f, live = _coefficient_polytope(Z.A, Z.b)
     if (f[~live] < -1e-9).any():
         # A zero direction with a negative offset means some |xi_k| > 1
         # is forced, contradicting the emptiness check above.
@@ -247,32 +320,10 @@ def ah_contains(X, Y):
     """
     if X.n != Y.n:
         raise ValueError("sets must share a dimension")
-    mx, my = X.X.shape[1], Y.X.shape[1]
-    Hx, fx = X.P.H, X.P.f
-    Hy, fy = Y.P.H, Y.P.f
-    nhx, nhy = Hx.shape[0], Hy.shape[0]
 
     b = LpBuilder()
-    b.var("gam", (my, mx))
-    b.var("beta", my)
-    b.var("lam", (nhy, nhx), lo=0.0)
-    b.eq({"gam": lin_coeff((my, mx), left=Y.X)}, _vec(X.X))
-    b.eq({"beta": Y.X}, Y.xbar - X.xbar)
-    b.eq({"lam": lin_coeff((nhy, nhx), right=Hx),
-          "gam": -lin_coeff((my, mx), left=Hy)},
-         np.zeros(nhy * mx))
-    b.le({"lam": lin_coeff((nhy, nhx), right=fx.reshape(-1, 1)),
-          "beta": -Hy},
-         fy)
-
-    out = solve_lp(b.build())
-    if out.status == INFEASIBLE:
-        return None
-    if not out.ok:
-        raise NumericalError(f"containment LP failed: {out.status}")
-    return ContainmentCertificate(b.value(out.x, "gam"),
-                                  b.value(out.x, "beta"),
-                                  b.value(out.x, "lam"))
+    return _certify(
+        b, _ah_certificate(b, Y, X.X, X.P.H, X.P.f, {}, Y.xbar - X.xbar))
 
 
 def ah_containment_residual(X, Y, cert):
@@ -315,44 +366,20 @@ def inner_scale(Z_c, template, norm="inf", must_contain=None):
     if ngr == 0:
         raise ValueError("template needs at least one generator")
 
-    s_r = pinv_solve(t.A, t.b)
+    s_r, T_r, Hx, fx, live = _coefficient_polytope(t.A, t.b)
     if t.n_c and np.abs(t.A @ s_r - t.b).max(initial=0.0) > 1e-9 * max(
             1.0, np.abs(t.b).max(initial=0.0)):
         raise ValueError("template constraints are inconsistent")
-    T_r = nullspace_basis(t.A)
-    mx = T_r.shape[1]
-    Hx = np.vstack([T_r, -T_r])
-    fx = np.concatenate([1.0 - s_r, 1.0 + s_r])
-    live = np.abs(Hx).max(axis=1, initial=0.0) > 1e-12
-    Hx, fx = Hx[live], fx[live]
-    nhx = Hx.shape[0]
-    Hy, fy = outer.P.H, outer.P.f
-    my = outer.X.shape[1]
-    nhy = Hy.shape[0]
     n = target.n
 
+    # The scaled template is {center + G diag(phi) (s_r + T_r xi') :
+    # Hx xi' <= fx}; its facets do not move with phi.
     b = LpBuilder()
     b.var("phi", ngr, lo=0.0)
     b.var("center", n)
-    b.var("gam", (my, mx))
-    b.var("beta", my)
-    b.var("lam", (nhy, nhx), lo=0.0)
-
-    # Generator match: sum_i phi_i * outer(g_i, T_r[i]) = outer.X @ gam.
-    phi_cols = np.stack(
-        [_vec(np.outer(t.G[:, i], T_r[i, :])) for i in range(ngr)], axis=1)
-    b.eq({"phi": phi_cols, "gam": -lin_coeff((my, mx), left=outer.X)},
-         np.zeros(n * mx))
-    # Center: center + G diag(s_r) phi + outer.X beta = outer.xbar.
-    b.eq({"center": np.eye(n), "phi": t.G * s_r, "beta": outer.X},
-         outer.xbar)
-    # Facet transport, unchanged by the scaling.
-    b.eq({"lam": lin_coeff((nhy, nhx), right=Hx),
-          "gam": -lin_coeff((my, mx), left=Hy)},
-         np.zeros(nhy * mx))
-    b.le({"lam": lin_coeff((nhy, nhx), right=fx.reshape(-1, 1)),
-          "beta": -Hy},
-         fy)
+    read = _ah_certificate(b, outer, t.G, Hx[live], fx[live],
+                           {"center": np.eye(n), "phi": t.G * s_r},
+                           outer.xbar, T=T_r)
 
     pts = [np.asarray(p, dtype=float).reshape(-1) for p in (must_contain or [])]
     if pts and t.n_c:
@@ -377,10 +404,8 @@ def inner_scale(Z_c, template, norm="inf", must_contain=None):
 
     phi = np.maximum(b.value(x, "phi"), 0.0)
     center = b.value(x, "center")
-    cert = ContainmentCertificate(b.value(x, "gam"), b.value(x, "beta"),
-                                  b.value(x, "lam"))
     scaled = _make(center, t.G * phi, t.A, t.b)
-    return scaled, ScalingResult(phi, center, cert)
+    return scaled, ScalingResult(phi, center, read(x))
 
 
 def make_template(Z_c, kind):
@@ -411,13 +436,10 @@ def make_template(Z_c, kind):
     else:
         work = Z
 
-    if kind == "box":
-        s = pinv_solve(work.A, work.b)
-        return Zonotope(work.c + work.G @ s, np.eye(work.n))
-    if kind == "zonotope":
-        s = pinv_solve(work.A, work.b)
-        T = nullspace_basis(work.A)
-        return Zonotope(work.c + work.G @ s, work.G @ T)
+    if kind in ("box", "zonotope"):
+        s, T, *_ = _coefficient_polytope(work.A, work.b)
+        G = np.eye(work.n) if kind == "box" else work.G @ T
+        return Zonotope(work.c + work.G @ s, G)
     if kind != "drop_pair":
         raise ValueError(f"unknown template kind {kind!r}; choose from {TEMPLATE_KINDS}")
 

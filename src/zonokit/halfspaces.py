@@ -14,15 +14,13 @@ halfspace before a cut is folded into the representation:
 
 import numpy as np
 
-from .numerics import LinearProgram, solve_lp, OPTIMAL, INFEASIBLE, NumericalError
+from .numerics import (LinearProgram, solve_lp, OPTIMAL, INFEASIBLE,
+                       UNBOUNDED, NumericalError)
 from .sets import (
     ConstrainedZonotope,
     EmptySetError,
     Halfspace,
-    HPolytope,
     Zonotope,
-    _make,
-    is_empty,
     support,
     TOL,
 )
@@ -94,6 +92,16 @@ def zonotope_hyperplane_intersects(Z, hs):
     return bool(abs(hs.f - hs.h @ Z.c) <= reach)
 
 
+def _append_row(Z, row, rhs):
+    """Z with one extra (zero) generator and the constraint row @ xi = rhs."""
+    G = np.hstack([Z.G, np.zeros((Z.n, 1))])
+    A = np.zeros((Z.n_c + 1, Z.n_g + 1))
+    A[:Z.n_c, :Z.n_g] = Z.A
+    A[Z.n_c] = row
+    b = np.concatenate([Z.b, [rhs]])
+    return ConstrainedZonotope(Z.c, G, A, b)
+
+
 def _fold(Z, hs):
     """Append the halfspace cut: one extra generator and one constraint.
 
@@ -105,19 +113,9 @@ def _fold(Z, hs):
     describe the wrong window, so the cut is replaced by an
     unsatisfiable constraint (xi_new = 2) with the same size bump.
     """
-    d_m = hs.f - hs.h @ Z.c + np.abs(hs.h @ Z.G).sum()
-    if d_m < 0.0:
-        row = np.concatenate([np.zeros(Z.n_g), [1.0]])
-        rhs = 2.0
-    else:
-        row = np.concatenate([hs.h @ Z.G, [d_m / 2.0]])
-        rhs = hs.f - hs.h @ Z.c - d_m / 2.0
-    G = np.hstack([Z.G, np.zeros((Z.n, 1))])
-    A = np.zeros((Z.n_c + 1, Z.n_g + 1))
-    A[:Z.n_c, :Z.n_g] = Z.A
-    A[Z.n_c] = row
-    b = np.concatenate([Z.b, [rhs]])
-    return ConstrainedZonotope(Z.c, G, A, b)
+    if hs.f - hs.h @ Z.c + np.abs(hs.h @ Z.G).sum() < 0.0:
+        return _append_row(Z, np.concatenate([np.zeros(Z.n_g), [1.0]]), 2.0)
+    return _raw_cut(Z, hs)
 
 
 def _raw_cut(Z, hs):
@@ -130,14 +128,8 @@ def _raw_cut(Z, hs):
     set construction on its own.
     """
     d_m = hs.f - hs.h @ Z.c + np.abs(hs.h @ Z.G).sum()
-    row = np.concatenate([hs.h @ Z.G, [d_m / 2.0]])
-    rhs = hs.f - hs.h @ Z.c - d_m / 2.0
-    G = np.hstack([Z.G, np.zeros((Z.n, 1))])
-    A = np.zeros((Z.n_c + 1, Z.n_g + 1))
-    A[:Z.n_c, :Z.n_g] = Z.A
-    A[Z.n_c] = row
-    b = np.concatenate([Z.b, [rhs]])
-    return ConstrainedZonotope(Z.c, G, A, b)
+    return _append_row(Z, np.concatenate([hs.h @ Z.G, [d_m / 2.0]]),
+                       hs.f - hs.h @ Z.c - d_m / 2.0)
 
 
 def zonotope_halfspace_intersection(Z, hs):
@@ -351,7 +343,7 @@ def hpolytope_to_conzono(P):
         out_max = solve_lp(LinearProgram(obj, a_ub=P.H, b_ub=P.f, maximize=True))
         if INFEASIBLE in (out_min.status, out_max.status):
             raise EmptySetError("polytope is empty")
-        if "unbounded" in (out_min.status, out_max.status):
+        if UNBOUNDED in (out_min.status, out_max.status):
             raise ValueError("polytope is unbounded; cannot convert")
         if not (out_min.ok and out_max.ok):
             raise NumericalError("interval hull LP failed")

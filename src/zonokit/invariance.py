@@ -11,18 +11,17 @@ that invariance holds by a containment certificate.
 
 import numpy as np
 
+from .containment import ScalingResult, _zonotope_certificate
 from .numerics import (
     InfeasibleProgram,
     LpBuilder,
     NumericalError,
-    lin_coeff,
     optimize_scaling,
-    row_abs_coeff,
 )
 from .sets import (
-    ConstrainedZonotope,
     HPolytope,
     Zonotope,
+    _plain_zonotope,
     contains_point,
     linear_map,
     support,
@@ -30,14 +29,6 @@ from .sets import (
 
 # Stability margin: spectral radius must clear 1 by at least this.
 STABILITY_TOL = 1e-9
-
-
-def _plain_zonotope(W, name):
-    if isinstance(W, Zonotope):
-        return W
-    if isinstance(W, ConstrainedZonotope) and W.n_c == 0:
-        return Zonotope(W.c, W.G)
-    raise ValueError(f"{name} must be an unconstrained zonotope")
 
 
 class AutonomousSystem:
@@ -193,33 +184,14 @@ def rpi_onestep(sys, s, norm="inf"):
     W, A = sys.W, sys.A
     n = sys.n
     G = f_s(sys, s).G
-    n_g, n_w = G.shape[1], W.n_g
-    AG = A @ G
 
+    # Inner set A Z + W = {[A G diag(phi), G_w], A c + c_w} inside
+    # Z = {G diag(phi), c}: c - (A c + c_w) = G beta.
     b = LpBuilder()
-    b.var("phi", n_g, lo=0.0)
+    b.var("phi", G.shape[1], lo=0.0)
     b.var("c", n)
-    b.var("g1p", (n_g, n_g), lo=0.0)
-    b.var("g1n", (n_g, n_g), lo=0.0)
-    b.var("g2p", (n_g, n_w), lo=0.0)
-    b.var("g2n", (n_g, n_w), lo=0.0)
-    b.var("bp", n_g, lo=0.0)
-    b.var("bn", n_g, lo=0.0)
-
-    # vec(A G Phi) column block i holds phi_i * (A g_i).
-    phi_cols = np.zeros((n * n_g, n_g))
-    for i in range(n_g):
-        phi_cols[i * n:(i + 1) * n, i] = AG[:, i]
-    map1 = lin_coeff((n_g, n_g), left=G)
-    b.eq({"phi": phi_cols, "g1p": -map1, "g1n": map1}, np.zeros(n * n_g))
-    map2 = lin_coeff((n_g, n_w), left=G)
-    b.eq({"g2p": map2, "g2n": -map2}, W.G.reshape(-1, order="F"))
-    b.eq({"c": np.eye(n) - A, "bp": -G, "bn": G}, W.c)
-    r1 = row_abs_coeff((n_g, n_g))
-    r2 = row_abs_coeff((n_g, n_w))
-    eye_g = np.eye(n_g)
-    b.le({"g1p": r1, "g1n": r1, "g2p": r2, "g2n": r2,
-          "bp": eye_g, "bn": eye_g, "phi": -eye_g}, np.zeros(n_g))
+    read = _zonotope_certificate(b, G, [(A @ G, True), (W.G, False)],
+                                 {"c": A - np.eye(n)}, -W.c, phi_budget=True)
 
     try:
         x = optimize_scaling(b, "phi", norm, maximize=False)
@@ -228,14 +200,9 @@ def rpi_onestep(sys, s, norm="inf"):
             f"no invariant scaling exists on the s={s} template; "
             "increase s") from None
 
-    from .containment import ContainmentCertificate, ScalingResult
     phi = np.maximum(b.value(x, "phi"), 0.0)
     c = b.value(x, "c")
-    gamma = np.hstack([b.value(x, "g1p") - b.value(x, "g1n"),
-                       b.value(x, "g2p") - b.value(x, "g2n")])
-    beta = b.value(x, "bp") - b.value(x, "bn")
-    cert = ContainmentCertificate(gamma, beta)
-    return Zonotope(c, G * phi), ScalingResult(phi, c, cert)
+    return Zonotope(c, G * phi), ScalingResult(phi, c, read(x))
 
 
 def onestep_decision_vars(n_g, n_w, n):

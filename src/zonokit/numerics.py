@@ -353,7 +353,10 @@ def optimize_scaling(builder, phi_name, norm, maximize, fw_iters=40):
     delegated to cvxpy (optional dependency), maximization -- a convex
     maximization, so NP-hard in general -- is handled by iterated
     linearization from the 1-norm optimum and is a documented local
-    optimum, not a global one.
+    optimum, not a global one.  When maximizing, an entry of phi that no
+    equality row touches sizes nothing (its template column is zero)
+    and would make the program unbounded, so it gets zero weight in the
+    1-norm objective and in the 2-norm gradient.
 
     Returns the full solution vector; raises on infeasibility with the
     outcome attached (callers map this to their own domain errors).
@@ -365,7 +368,8 @@ def optimize_scaling(builder, phi_name, norm, maximize, fw_iters=40):
     ones = np.ones(m)
 
     if norm == "1" or (norm == "2" and maximize):
-        builder.objective({phi_name: ones}, maximize=maximize)
+        weights = _eq_touched(builder, phi_name) * 1.0 if maximize else ones
+        builder.objective({phi_name: weights}, maximize=maximize)
         out = solve_lp(builder.build())
         _require_optimal(out)
         x = out.x
@@ -374,12 +378,12 @@ def optimize_scaling(builder, phi_name, norm, maximize, fw_iters=40):
         # 2-norm maximization: iterate linearizations of the gradient.
         prev = -np.inf
         for _ in range(fw_iters):
-            phi = builder.value(x, phi_name)
+            phi = builder.value(x, phi_name) * weights
             nrm = float(np.linalg.norm(phi))
             if nrm <= prev + 1e-12:
                 break
             prev = nrm
-            grad = phi / nrm if nrm > 0 else ones
+            grad = phi / nrm if nrm > 0 else weights
             builder.objective({phi_name: grad}, maximize=True)
             out = solve_lp(builder.build())
             _require_optimal(out)
@@ -406,6 +410,15 @@ def optimize_scaling(builder, phi_name, norm, maximize, fw_iters=40):
     off = builder._offset[phi_name]
     sl = slice(off, off + m)
     return _min_norm2(p, sl)
+
+
+def _eq_touched(builder, name):
+    """Mask of the entries of block ``name`` that some equality row uses."""
+    touched = np.zeros(builder.size(name), dtype=bool)
+    for terms, rhs in builder._eq:
+        if name in terms:
+            touched |= np.reshape(terms[name], (rhs.size, -1)).any(axis=0)
+    return touched
 
 
 class InfeasibleProgram(Exception):

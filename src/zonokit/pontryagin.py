@@ -8,19 +8,18 @@ generator template.
 
 import numpy as np
 
+from .containment import ScalingResult, _zonotope_certificate
 from .numerics import (
     InfeasibleProgram,
     LpBuilder,
     _require_optimal,
-    lin_coeff,
-    row_abs_coeff,
     solve_lp,
 )
 from .reduction import reduce_fully
 from .sets import (
-    ConstrainedZonotope,
     EmptySetError,
     Zonotope,
+    _plain_zonotope,
     as_conzono,
     generalized_intersection,
     translate,
@@ -95,42 +94,19 @@ def pontryagin_onestep(Z1, Z2, norm="inf"):
     empty (EmptySetError); the certificate test is sufficient, so this
     report is conservative for borderline geometry.
     """
-    for Z, name in ((Z1, "Z1"), (Z2, "Z2")):
-        if as_conzono(Z).n_c != 0:
-            raise ValueError(f"{name} must be an unconstrained zonotope")
-    Z1 = as_conzono(Z1)
-    Z2 = as_conzono(Z2)
+    Z1 = _plain_zonotope(as_conzono(Z1), "Z1")
+    Z2 = _plain_zonotope(as_conzono(Z2), "Z2")
     if Z1.n != Z2.n:
         raise ValueError("sets must share a dimension")
     n = Z1.n
-    ng1, ng2 = Z1.n_g, Z2.n_g
-    nt = ng1 + ng2
     Gt = np.hstack([Z1.G, Z2.G])
 
+    # Inner set {[Gt diag(phi), G2], c_d + c2} inside Z1.
     b = LpBuilder()
-    b.var("phi", nt, lo=0.0)
+    b.var("phi", Gt.shape[1], lo=0.0)
     b.var("cd", n)
-    b.var("gtp", (ng1, nt), lo=0.0)
-    b.var("gtn", (ng1, nt), lo=0.0)
-    b.var("gsp", (ng1, ng2), lo=0.0)
-    b.var("gsn", (ng1, ng2), lo=0.0)
-    b.var("bp", ng1, lo=0.0)
-    b.var("bn", ng1, lo=0.0)
-
-    # vec(Gt Phi) column block i holds phi_i * Gt[:, i].
-    phi_cols = np.zeros((n * nt, nt))
-    for i in range(nt):
-        phi_cols[i * n:(i + 1) * n, i] = Gt[:, i]
-    map_t = lin_coeff((ng1, nt), left=Z1.G)
-    b.eq({"phi": phi_cols, "gtp": -map_t, "gtn": map_t}, np.zeros(n * nt))
-    map_s = lin_coeff((ng1, ng2), left=Z1.G)
-    b.eq({"gsp": map_s, "gsn": -map_s}, Z2.G.reshape(-1, order="F"))
-    b.eq({"cd": np.eye(n), "bp": Z1.G, "bn": -Z1.G}, Z1.c - Z2.c)
-    rt = row_abs_coeff((ng1, nt))
-    rs = row_abs_coeff((ng1, ng2))
-    eye1 = np.eye(ng1)
-    b.le({"gtp": rt, "gtn": rt, "gsp": rs, "gsn": rs,
-          "bp": eye1, "bn": eye1}, np.ones(ng1))
+    read = _zonotope_certificate(b, Z1.G, [(Gt, True), (Z2.G, False)],
+                                 {"cd": np.eye(n)}, Z1.c - Z2.c)
 
     try:
         x = _maximize_template(b, Gt, norm)
@@ -139,14 +115,9 @@ def pontryagin_onestep(Z1, Z2, norm="inf"):
             "no translate of the subtrahend certifiably fits inside Z1; "
             "the difference is (reported) empty") from None
 
-    from .containment import ContainmentCertificate, ScalingResult
     phi = np.maximum(b.value(x, "phi"), 0.0)
     cd = b.value(x, "cd")
-    gamma = np.hstack([b.value(x, "gtp") - b.value(x, "gtn"),
-                       b.value(x, "gsp") - b.value(x, "gsn")])
-    beta = b.value(x, "bp") - b.value(x, "bn")
-    cert = ContainmentCertificate(gamma, beta)
-    return Zonotope(cd, Gt * phi), ScalingResult(phi, cd, cert)
+    return Zonotope(cd, Gt * phi), ScalingResult(phi, cd, read(x))
 
 
 def _solve_for(b, weights):

@@ -20,9 +20,9 @@ from .halfspaces import (
 )
 from .reduction import remove_redundant_pair
 from .sets import (
-    ConstrainedZonotope,
     HPolytope,
     Zonotope,
+    _plain_zonotope,
     generalized_intersection,
     linear_map,
     minkowski_sum,
@@ -32,14 +32,6 @@ WAYSET_STRATEGIES = ("ZH", "GI", "LP", "IA")
 
 # Condition numbers beyond this are treated as singular.
 CONDITION_LIMIT = 1e12
-
-
-def _plain_zonotope(U, name):
-    if isinstance(U, Zonotope):
-        return U
-    if isinstance(U, ConstrainedZonotope) and U.n_c == 0:
-        return Zonotope(U.c, U.G)
-    raise ValueError(f"{name} must be an unconstrained zonotope")
 
 
 class LinearSystem:

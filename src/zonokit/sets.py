@@ -191,6 +191,15 @@ def _make(c, G, A, b):
     return ConstrainedZonotope(c, G, A, b)
 
 
+def _plain_zonotope(Z, name):
+    """Z as a Zonotope; a constrained zonotope with constraints is rejected."""
+    if isinstance(Z, Zonotope):
+        return Z
+    if isinstance(Z, ConstrainedZonotope) and Z.n_c == 0:
+        return Zonotope(Z.c, Z.G)
+    raise ValueError(f"{name} must be an unconstrained zonotope")
+
+
 def as_conzono(obj):
     """Coerce a set-like object (or a point) to a ConstrainedZonotope."""
     if isinstance(obj, ConstrainedZonotope):

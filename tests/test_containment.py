@@ -129,8 +129,14 @@ class TestInnerScale:
             inner_scale(ZC, make_template(ZC, "box"),
                         must_contain=[[50.0, 50.0]])
 
-    def test_norm_two_still_certified(self):
-        scaled, result = inner_scale(ZC, make_template(ZC, "box"), norm="2")
+    @pytest.mark.parametrize("kind", ["drop_pair", "zonotope", "box"])
+    @pytest.mark.parametrize("norm", ["inf", "1", "2"])
+    def test_every_norm_certified(self, kind, norm):
+        # drop_pair's template keeps a zero (slack) generator whose scale
+        # no equality row touches; norms 1 and 2 must not chase it.
+        scaled, result = inner_scale(ZC, make_template(ZC, kind), norm=norm)
+        assert (result.phi >= 0.0).all()
         X, Y = conzono_to_ah(scaled), conzono_to_ah(ZC)
+        assert ah_containment_residual(X, Y, result.certificate) < 1e-6
         cert = ah_contains(X, Y)
         assert cert is not None and ah_containment_residual(X, Y, cert) < 1e-6

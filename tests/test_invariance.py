@@ -122,6 +122,26 @@ class TestRpiOnestep:
         assert cert is not None
         assert zonotope_containment_residual(hit, Z, cert) < 1e-6
 
+    @pytest.mark.parametrize("norm", ["inf", "1"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_certificate_meets_its_equations(self, closed_loop, s, norm):
+        # A G Phi = G Gamma1, G_w = G Gamma2, (I - A) c - c_w = G beta,
+        # |Gamma1| 1 + |Gamma2| 1 + |beta| <= phi, in the returned layout.
+        A, W = closed_loop.A, closed_loop.W
+        G = f_s(closed_loop, s).G
+        n_g = G.shape[1]
+        Z, res = rpi_onestep(closed_loop, s, norm=norm)
+        gamma, beta, phi, c = (res.certificate.gamma, res.certificate.beta,
+                               res.phi, res.center)
+        assert gamma.shape == (n_g, n_g + W.n_g) and beta.shape == (n_g,)
+        assert np.array_equal(Z.G, G * phi) and np.array_equal(Z.c, c)
+        g1, g2 = gamma[:, :n_g], gamma[:, n_g:]
+        assert np.abs(A @ G * phi - G @ g1).max() < 1e-6
+        assert np.abs(W.G - G @ g2).max() < 1e-6
+        assert np.abs((np.eye(2) - A) @ c - W.c - G @ beta).max() < 1e-6
+        budget = np.abs(g1).sum(1) + np.abs(g2).sum(1) + np.abs(beta)
+        assert (budget <= phi + 1e-6).all()
+
     def test_shrinks_toward_iterative_reference(self, closed_loop):
         ref, _, _ = mrpi_iterative(closed_loop, 1e-9)
         ratios = [oracle.volume_ratio(rpi_onestep(closed_loop, s)[0], ref)

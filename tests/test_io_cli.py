@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from zonokit import ConstrainedZonotope, HPolytope, Zonotope
+from zonokit import ConstrainedZonotope, HPolytope, Zonotope, numerics
 from zonokit.cli import main
 from zonokit.io import (
     SchemaError,
@@ -158,6 +158,29 @@ class TestCli:
             assert self.run("halfspace", z, "--h", "3,1", "--f", "3",
                             "-o", out) == 0
         assert o1.read_text() == o2.read_text()
+
+
+class TestLpTol:
+    @pytest.fixture
+    def zono(self, tmp_path):
+        path = tmp_path / "z.json"
+        write_set(path, Zonotope([0.0, 0.0], np.eye(2)))
+        return str(path)
+
+    def test_scoped_to_one_invocation(self, tmp_path, zono, capsys):
+        before = numerics.LP_TOL
+        assert main(["info", zono, "--lp-tol", "0.5"]) == 0
+        assert numerics.LP_TOL == before
+        missing = str(tmp_path / "missing.json")
+        assert main(["info", missing, "--lp-tol", "0.5"]) == 2
+        assert numerics.LP_TOL == before
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "tight"])
+    def test_rejects_values_not_finite_and_positive(self, zono, value, capsys):
+        before = numerics.LP_TOL
+        assert main(["info", zono, "--lp-tol", value]) == 1
+        assert "--lp-tol" in capsys.readouterr().err
+        assert numerics.LP_TOL == before
 
 
 def test_console_entry_point(tmp_path):

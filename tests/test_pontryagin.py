@@ -43,6 +43,24 @@ def test_onestep_close_to_exact_in_volume():
     assert ratio <= 1.0 + 0.02  # inner approximation cannot exceed the truth
 
 
+@pytest.mark.parametrize("norm", ["inf", "1", "2"])
+def test_onestep_certificate_meets_its_equations(norm):
+    # [G1 G2] Phi = G1 Gamma_t, G2 = G1 Gamma_s, c1 - (c_d + c2) = G1 beta,
+    # |Gamma| 1 + |beta| <= 1, in the returned layout.
+    G1, G2 = Z1_3D.G, Z2_3D.G
+    Gt = np.hstack([G1, G2])
+    nt = Gt.shape[1]
+    S, res = pontryagin_onestep(Z1_3D, Z2_3D, norm=norm)
+    gamma, beta, phi, cd = (res.certificate.gamma, res.certificate.beta,
+                            res.phi, res.center)
+    assert gamma.shape == (G1.shape[1], nt + G2.shape[1])
+    assert np.array_equal(S.G, Gt * phi) and np.array_equal(S.c, cd)
+    assert np.abs(Gt * phi - G1 @ gamma[:, :nt]).max() < 1e-6
+    assert np.abs(G2 - G1 @ gamma[:, nt:]).max() < 1e-6
+    assert np.abs(Z1_3D.c - (cd + Z2_3D.c) - G1 @ beta).max() < 1e-6
+    assert (np.abs(gamma).sum(1) + np.abs(beta) <= 1.0 + 1e-6).all()
+
+
 def test_onestep_inside_iterative_inside_oracle():
     rng = np.random.default_rng(1)
     dirs = oracle.directions(2, seed=2)[:30]
