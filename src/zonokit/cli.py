@@ -12,7 +12,11 @@ import numpy as np
 
 from . import numerics
 from .containment import inner_reduce_zonotope, inner_scale, make_template
-from .halfspaces import conzono_halfspace_intersection, intersect_hpolytope
+from .halfspaces import (
+    _append_row,
+    conzono_halfspace_intersection,
+    intersect_hpolytope,
+)
 from .hull import convex_hull, convex_hull_with_point
 from .invariance import AutonomousSystem, mrpi_iterative, rpi_onestep
 from .io import SchemaError, read_scenario, read_set, write_set
@@ -88,8 +92,8 @@ def build_parser():
     p = op("intersect", "intersection (generalized if --R is given)")
     p.add_argument("a")
     p.add_argument("b", help="set JSON; an hpolytope is folded halfspace-wise")
-    p.add_argument("--R", type=_matrix, default=None)
-    p.add_argument("--ia-passes", type=int, default=2)
+    p.add_argument("--R", type=_matrix, default=None,
+                   help="keep the points z with R z in b")
     p.add_argument("-o", "--output", required=True)
 
     p = op("halfspace", "intersect a set with h'x <= f")
@@ -180,8 +184,12 @@ def _run(args):
         a = _require_kind(read_set(args.a), "first operand")
         b = read_set(args.b)
         if isinstance(b, HPolytope):
-            result = intersect_hpolytope(a, b, strategy="LP",
-                                         passes=args.ia_passes)
+            # {z : R z in b}; a zero row of H R reads 0 <= f
+            H = b.H if args.R is None else b.H @ args.R
+            live = np.abs(H).sum(axis=1) > 0.0
+            result = intersect_hpolytope(a, HPolytope(H[live], b.f[live]))
+            if np.any(b.f[~live] < 0.0):  # empty: _fold's marker row
+                result = _append_row(result, np.eye(result.n_g + 1)[-1], 2.0)
         else:
             result = generalized_intersection(a, _require_kind(b, "operand"),
                                               args.R)

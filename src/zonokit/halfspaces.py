@@ -206,6 +206,20 @@ def conzono_halfspace_feasible(Z, hs):
     raise NumericalError(f"halfspace feasibility LP failed: {out.status}")
 
 
+def _solved_ranges(a, rhs, lo, hi):
+    """Per j, (rhs - sum_{k != j} a_k [lo_k, hi_k]) / a_j as arrays (lo, hi);
+    inf or nan where a_j = 0.  Leave-one-out sums are whole-array sums
+    minus one term, so the entries passed in fix the rounding."""
+    t1 = a * lo
+    t2 = a * hi
+    plo = np.minimum(t1, t2)
+    phi = np.maximum(t1, t2)
+    r_lo = (rhs - (phi.sum() - phi)) / a
+    r_hi = (rhs - (plo.sum() - plo)) / a
+    neg = a < 0.0
+    return np.where(neg, r_hi, r_lo), np.where(neg, r_lo, r_hi)
+
+
 def interval_refine(Z, iterations=2, pad=1e-12):
     """Interval refinement of the coefficient constraints of Z.
 
@@ -233,28 +247,12 @@ def interval_refine(Z, iterations=2, pad=1e-12):
             nz = np.flatnonzero(np.abs(row) > DIV_TOL)
             if nz.size == 0:
                 continue
-            # Interval products a_ik E_k for the nonzero entries, then
-            # leave-one-out sums.
-            t1 = row[nz] * E.lo[nz]
-            t2 = row[nz] * E.hi[nz]
-            plo = np.minimum(t1, t2)
-            phi = np.maximum(t1, t2)
-            slo_all = plo.sum()
-            shi_all = phi.sum()
-            for idx, j in enumerate(nz):
-                slo = slo_all - plo[idx]
-                shi = shi_all - phi[idx]
-                a = row[j]
-                lo = (Z.b[i] - shi) / a
-                hi = (Z.b[i] - slo) / a
-                if a < 0.0:
-                    lo, hi = hi, lo
-                lo -= pad
-                hi += pad
-                R.lo[j] = max(R.lo[j], lo)
-                R.hi[j] = min(R.hi[j], hi)
-                E.lo[j] = max(E.lo[j], R.lo[j])
-                E.hi[j] = min(E.hi[j], R.hi[j])
+            # Each entry is solved against E as it was before this row.
+            lo, hi = _solved_ranges(row[nz], Z.b[i], E.lo[nz], E.hi[nz])
+            R.lo[nz] = np.maximum(R.lo[nz], lo - pad)
+            R.hi[nz] = np.minimum(R.hi[nz], hi + pad)
+            E.lo[nz] = np.maximum(E.lo[nz], R.lo[nz])
+            E.hi[nz] = np.minimum(E.hi[nz], R.hi[nz])
             if E.any_empty:
                 return E, R
     return E, R

@@ -21,6 +21,10 @@ DEFAULT_SEED = 42
 MEMBERSHIP_TOL = 1e-9
 SUPPORT_TOL = 1e-6
 GENERATOR_BUDGET = 128
+# Points per membership program.  Its dense matrices grow with the
+# square of this count: 64 ran grids fastest but added 5 MiB to the
+# verify benchmark's peak RSS; 16 adds about 1 MiB at 7x one point.
+MEMBERSHIP_BLOCKS = 16
 
 _DEDUPE_DECIMALS = 9
 
@@ -114,35 +118,51 @@ def support_lp(Z, d):
 
 
 def membership(Z, point, tol=MEMBERSHIP_TOL):
-    """Whether the point is within tol (sup-norm) of the set.
+    """Whether the point is within tol (sup-norm) of the set, i.e. in
+    the tol-inflated set: one block of :func:`_sup_distances`."""
+    p = np.asarray(point, dtype=float).reshape(-1)
+    if p.size != as_conzono(Z).n:
+        raise ValueError("point dimension mismatch")
+    return bool(_sup_distances(Z, p[None])[0] <= tol)
 
-    Solves min t s.t. |p - c - G xi| <= t, A xi = b, |xi| <= 1; a
-    positive tol therefore tests against the tol-inflated set.
+
+def _sup_distances(Z, points):
+    """Sup-norm distance from each row of points to the set; inf if empty.
+
+    Solves min t s.t. |p - c - G xi| <= t, A xi = b, |xi| <= 1 for one
+    point per block, MEMBERSHIP_BLOCKS blocks to a program: the blocks
+    share no variable, so minimizing the sum of the t_j minimizes each.
     """
     Z, c, G, A, b = _raw(Z)
-    p = np.asarray(point, dtype=float).reshape(-1)
-    if p.size != Z.n:
-        raise ValueError("point dimension mismatch")
-    gap = p - c
+    P = np.atleast_2d(np.asarray(points, dtype=float))
     if Z.n_g == 0:
         if Z.n_c and np.max(np.abs(b)) > MEMBERSHIP_TOL:
-            return False
-        return bool(np.max(np.abs(gap), initial=0.0) <= tol)
+            return np.full(len(P), np.inf)
+        return np.max(np.abs(P - c), axis=1, initial=0.0)
     n_g, n = Z.n_g, Z.n
-    cost = np.zeros(n_g + 1)
-    cost[-1] = 1.0
-    ones = np.ones((n, 1))
-    A_ub = np.block([[G, -ones], [-G, -ones]])
-    b_ub = np.concatenate([gap, -gap])
-    A_eq = np.hstack([A, np.zeros((Z.n_c, 1))]) if Z.n_c else None
-    bounds = [(-1.0, 1.0)] * n_g + [(0.0, None)]
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
-                  b_eq=b if Z.n_c else None, bounds=bounds, method="highs")
-    if res.status == 2:
-        return False
-    if res.status != 0:
-        raise RuntimeError(f"membership LP failed: {res.message}")
-    return bool(res.fun <= tol)
+    out = np.empty(len(P))
+    for start in range(0, len(P), MEMBERSHIP_BLOCKS):
+        gaps = P[start:start + MEMBERSHIP_BLOCKS] - c
+        m = len(gaps)
+        eye = np.eye(m)
+        xi = np.kron(eye, G)
+        ones = np.kron(eye, np.ones((n, 1)))
+        A_ub = np.block([[xi, -ones], [-xi, -ones]])
+        b_ub = np.concatenate([gaps.ravel(), -gaps.ravel()])
+        A_eq = b_eq = None
+        if Z.n_c:
+            A_eq = np.hstack([np.kron(eye, A), np.zeros((m * Z.n_c, m))])
+            b_eq = np.tile(b, m)
+        cost = np.concatenate([np.zeros(m * n_g), np.ones(m)])
+        bounds = [(-1.0, 1.0)] * (m * n_g) + [(0.0, None)] * m
+        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs")
+        if res.status == 2:
+            return np.full(len(P), np.inf)
+        if res.status != 0:
+            raise RuntimeError(f"membership LP failed: {res.message}")
+        out[start:start + m] = res.x[m * n_g:]
+    return out
 
 
 def _empty_lp(Z):
@@ -408,14 +428,11 @@ def sets_equal(X, Y, grid=15, tol=SUPPORT_TOL):
     lo_y, hi_y = Y.parent_zonotope().interval_hull()
     lo = np.minimum(lo_x, lo_y)
     hi = np.maximum(hi_x, hi_y)
-    for p in _grid(lo, hi, int(grid)):
-        in_x = membership(X, p)
-        in_y = membership(Y, p)
-        if in_x and not in_y and not membership(Y, p, tol):
-            return False
-        if in_y and not in_x and not membership(X, p, tol):
-            return False
-    return True
+    points = _grid(lo, hi, int(grid))
+    dist_x, dist_y = _sup_distances(X, points), _sup_distances(Y, points)
+    in_x, in_y = dist_x <= MEMBERSHIP_TOL, dist_y <= MEMBERSHIP_TOL
+    return not np.any((in_x & ~in_y & (dist_y > tol))
+                      | (in_y & ~in_x & (dist_x > tol)))
 
 
 def pontryagin_oracle(Z1, Z2, grid=41, tol=MEMBERSHIP_TOL):

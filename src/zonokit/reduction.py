@@ -13,7 +13,7 @@ Two mechanisms, both exact (set equality is always preserved):
 
 import numpy as np
 
-from .halfspaces import interval_refine
+from .halfspaces import DIV_TOL, _solved_ranges, interval_refine
 from .numerics import gauss_jordan_full_pivot
 from .sets import Zonotope, _make
 
@@ -171,25 +171,17 @@ def remove_redundant_pair(Z, passes=2):
     if E.any_empty:
         return Z, False
 
-    def solved_range(r, cc, lo_vec, hi_vec):
-        row = A[r]
-        t1 = row * lo_vec
-        t2 = row * hi_vec
-        plo = np.minimum(t1, t2)
-        phi = np.maximum(t1, t2)
-        a = row[cc]
-        lo = (bb[r] - (phi.sum() - phi[cc])) / a
-        hi = (bb[r] - (plo.sum() - plo[cc])) / a
-        return (hi, lo) if a < 0.0 else (lo, hi)
-
-    def in_unit(lo, hi):
-        return lo >= -1.0 - CONTAIN_TOL and hi <= 1.0 + CONTAIN_TOL
+    def unit_cols(r, E):
+        """Columns c of row r whose solved range R_rc lies in [-1, 1]."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo, hi = _solved_ranges(A[r], bb[r], E.lo, E.hi)
+        return np.flatnonzero((np.abs(A[r]) > DIV_TOL)
+                              & (lo >= -1.0 - CONTAIN_TOL)
+                              & (hi <= 1.0 + CONTAIN_TOL))
 
     candidates = []  # (|a_rc|, r, c) passing the cheap necessary test
     for r in range(A.shape[0]):
-        for cc in np.flatnonzero(np.abs(A[r]) > 1e-12):
-            if in_unit(*solved_range(r, cc, E.lo, E.hi)):
-                candidates.append((abs(A[r, cc]), r, cc))
+        candidates += [(abs(A[r, cc]), r, cc) for cc in unit_cols(r, E)]
     for _, r, cc in sorted(candidates, reverse=True):
         a = A[r, cc]
         others = [i for i in range(A.shape[0]) if i != r]
@@ -199,7 +191,7 @@ def remove_redundant_pair(Z, passes=2):
                                    iterations=passes)
         if E_sub.any_empty:
             continue
-        if in_unit(*solved_range(r, cc, E_sub.lo, E_sub.hi)):
+        if cc in unit_cols(r, E_sub):
             return eliminate_pair(work, r, cc), True
     if A.shape[0] != Z.n_c:
         # No removable pair, but vacuous rows were dropped.

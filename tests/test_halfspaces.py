@@ -20,7 +20,7 @@ from zonokit import (
     zonotope_halfspace_intersection,
     zonotope_hyperplane_intersects,
 )
-from zonokit.halfspaces import refine_certifies_empty
+from zonokit.halfspaces import DIV_TOL, _solved_ranges, refine_certifies_empty
 from zonokit import oracle
 
 from conftest import make_conzono, make_zonotope
@@ -128,6 +128,86 @@ class TestIntervalRefine:
     def test_rejects_nonpositive_iterations(self):
         with pytest.raises(ValueError):
             interval_refine(Z2, iterations=0)
+
+
+def _scalar_refine(Z, iterations=2, pad=1e-12):
+    """Entry-by-entry refinement loop, the reference for the array kernel."""
+    E = IntervalVector.unit(Z.n_g)
+    R = IntervalVector.reals(Z.n_g)
+    for _ in range(iterations):
+        for i in range(Z.n_c):
+            row = Z.A[i]
+            nz = np.flatnonzero(np.abs(row) > DIV_TOL)
+            if nz.size == 0:
+                continue
+            t1 = row[nz] * E.lo[nz]
+            t2 = row[nz] * E.hi[nz]
+            plo = np.minimum(t1, t2)
+            phi = np.maximum(t1, t2)
+            slo_all = plo.sum()
+            shi_all = phi.sum()
+            for idx, j in enumerate(nz):
+                slo = slo_all - plo[idx]
+                shi = shi_all - phi[idx]
+                a = row[j]
+                lo = (Z.b[i] - shi) / a
+                hi = (Z.b[i] - slo) / a
+                if a < 0.0:
+                    lo, hi = hi, lo
+                lo -= pad
+                hi += pad
+                R.lo[j] = max(R.lo[j], lo)
+                R.hi[j] = min(R.hi[j], hi)
+                E.lo[j] = max(E.lo[j], R.lo[j])
+                E.hi[j] = min(E.hi[j], R.hi[j])
+            if E.any_empty:
+                return E, R
+    return E, R
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(11)
+    cases = []
+    for k in range(30):
+        Zc = make_conzono(rng, 2, 6, 3)
+        A = Zc.A.copy()
+        A[rng.random(A.shape) < 0.3] = 0.0  # exact zeros
+        A[rng.random(A.shape) < 0.1] = 1e-13  # below DIV_TOL
+        A[rng.random(A.shape) < 0.3] *= -1.0  # sign flips
+        if k % 5 == 0:
+            A[k % 3] = 0.0  # all-zero row
+        b = rng.normal(size=3) * (2.0 if k % 2 else 0.5)  # some empty
+        cases.append(ConstrainedZonotope(Zc.c, Zc.G, A, b))
+    cases.append(ConstrainedZonotope([0.0, 0.0], np.zeros((2, 0)),
+                                     np.zeros((2, 0)), [0.0, 0.0]))
+    return cases
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 4])
+def test_array_kernel_matches_scalar_loop(iterations):
+    for Zc in _kernel_cases():
+        E, R = interval_refine(Zc, iterations=iterations)
+        E_ref, R_ref = _scalar_refine(Zc, iterations=iterations)
+        for got, want in ((E, E_ref), (R, R_ref)):
+            assert np.array_equal(got.lo, want.lo)
+            assert np.array_equal(got.hi, want.hi)
+
+
+def test_solved_ranges_match_scalar_formula():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        a = rng.normal(size=5)
+        lo = rng.uniform(-1.0, 0.0, size=5)
+        hi = rng.uniform(0.0, 1.0, size=5)
+        rhs = rng.normal()
+        r_lo, r_hi = _solved_ranges(a, rhs, lo, hi)
+        for j in range(5):
+            others = [k for k in range(5) if k != j]
+            s_lo = sum(min(a[k] * lo[k], a[k] * hi[k]) for k in others)
+            s_hi = sum(max(a[k] * lo[k], a[k] * hi[k]) for k in others)
+            ends = sorted([(rhs - s_hi) / a[j], (rhs - s_lo) / a[j]])
+            assert r_lo[j] == pytest.approx(ends[0], rel=1e-12, abs=1e-12)
+            assert r_hi[j] == pytest.approx(ends[1], rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,7 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from zonokit import ConstrainedZonotope, HPolytope, Zonotope, numerics
+from zonokit import (
+    ConstrainedZonotope,
+    HPolytope,
+    Zonotope,
+    is_empty,
+    numerics,
+)
 from zonokit.cli import main
 from zonokit.io import (
     SchemaError,
@@ -129,6 +135,44 @@ class TestCli:
                         "--reduce", "-o", out) == 0
         Z = read_set(out)
         assert (Z.n_c, Z.n_g) == (7, 37)
+
+    def test_intersect_hpolytope_preimage(self, tmp_path, capsys):
+        z = tmp_path / "z.json"
+        p = tmp_path / "p.json"
+        out = tmp_path / "out.json"
+        write_set(z, Zonotope([0.0, 0.0], np.eye(2)))
+        write_set(p, HPolytope([[1.0, 0.0]], [0.5]))
+        # {z in Z : R z in P} with R = diag(2, 1) cuts x1 at 0.25
+        assert self.run("intersect", z, p, "--R", "2,0;0,1", "-o", out) == 0
+        assert oracle.support_lp(read_set(out), [1.0, 0.0]) == \
+            pytest.approx(0.25, abs=1e-7)
+        assert self.run("intersect", z, p, "-o", out) == 0
+        assert oracle.support_lp(read_set(out), [1.0, 0.0]) == \
+            pytest.approx(0.5, abs=1e-7)
+        assert self.run("intersect", z, p, "--R", "1,0,0", "-o", out) == 2
+
+    def test_intersect_preimage_with_zero_rows(self, tmp_path, capsys):
+        z = tmp_path / "z.json"
+        p = tmp_path / "p.json"
+        out = tmp_path / "out.json"
+        write_set(z, Zonotope([0.0, 0.0], np.eye(2)))
+        # R's zero first row maps x1 <= f to the row 0 <= f
+        write_set(p, HPolytope(np.eye(2), [0.5, 0.5]))
+        assert self.run("intersect", z, p, "--R", "0,0;0,1", "-o", out) == 0
+        Z = read_set(out)
+        assert oracle.support_lp(Z, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-7)
+        assert oracle.support_lp(Z, [0.0, 1.0]) == pytest.approx(0.5, abs=1e-7)
+        write_set(p, HPolytope(np.eye(2), [-0.5, 0.5]))
+        assert self.run("intersect", z, p, "--R", "0,0;0,1", "-o", out) == 0
+        assert is_empty(read_set(out))
+
+    def test_intersect_has_no_ia_passes(self, tmp_path, capsys):
+        z = tmp_path / "z.json"
+        p = tmp_path / "p.json"
+        write_set(z, Zonotope([0.0, 0.0], np.eye(2)))
+        write_set(p, HPolytope([[1.0, 0.0]], [0.5]))
+        assert self.run("intersect", z, p, "--ia-passes", "3",
+                        "-o", tmp_path / "out.json") == 1
 
     def test_usage_error_exit_code(self, capsys):
         assert self.run("frobnicate") == 1

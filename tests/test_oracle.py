@@ -7,6 +7,7 @@ from zonokit import (
     HPolytope,
     Zonotope,
     contains_point,
+    generalized_intersection,
     support,
 )
 from zonokit.reach import LinearSystem
@@ -77,6 +78,43 @@ def test_membership_agrees_with_contains_point():
         assert oracle.membership(Z, x) == contains_point(Z, x)
 
 
+def test_sup_distances_of_a_constrained_square():
+    # diamond ∩ unit square is the unit square, written with n_c = 2
+    square = generalized_intersection(
+        Zonotope([0.0, 0.0], [[1.0, 1.0], [1.0, -1.0]]),
+        Zonotope([0.0, 0.0], np.eye(2)))
+    rng = np.random.default_rng(13)
+    pts = np.vstack([rng.uniform(-2, 2, size=(150, 2)),
+                     [[1 + 1e-6, 0.3], [-0.2, -1 - 1e-6], [1 - 1e-6, 1.0]]])
+    want = np.maximum(np.max(np.abs(pts), axis=1) - 1.0, 0.0)
+    assert np.allclose(oracle._sup_distances(square, pts), want,
+                       rtol=0.0, atol=1e-9)
+    assert not oracle.membership(square, [1 + 1e-6, 0.3])
+    assert oracle.membership(square, [1 + 1e-6, 0.3], tol=1e-5)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_distances_agree_with_membership(n):
+    rng = np.random.default_rng(14 + n)
+    Z = make_conzono(rng, n, 7, 2)
+    D = oracle.directions(n)
+    # support points pushed out by eps: sup-norm distance in
+    # [eps / sqrt(n), eps], so 1e-10 is within both tolerances and
+    # 3e-6 beyond both (the LPs resolve about 1e-7)
+    near = [np.array([oracle._support_point(Z, d)[1] + eps * d
+                      for d in D[np.linspace(0, len(D) - 1, 30).astype(int)]])
+            for eps in (1e-10, 3e-6)]
+    pts = np.vstack([rng.uniform(-3, 3, size=(40, n)), *near])
+    assert len(pts) > oracle.MEMBERSHIP_BLOCKS
+    dist = oracle._sup_distances(Z, pts)
+    single = [oracle._sup_distances(Z, p[None])[0] for p in pts]
+    assert np.allclose(dist, single, rtol=0.0, atol=1e-9)
+    for tol in (1e-9, 1e-6):
+        got = dist <= tol
+        assert got.tolist() == [oracle.membership(Z, p, tol) for p in pts]
+        assert got[40:70].all() and not got[70:].any()
+
+
 def test_sample_inside_lands_inside():
     rng = np.random.default_rng(9)
     Zc = make_conzono(rng, 2, 5, 2)
@@ -100,6 +138,8 @@ def test_empty_sets_are_reported():
     with pytest.raises(EmptySetError):
         oracle.enumerate_vertices(bad)
     assert oracle.volume(bad) == (0.0, 0.0)
+    assert not oracle.membership(bad, [1.0], tol=10.0)
+    assert np.isinf(oracle._sup_distances(bad, [[0.0], [1.0]])).all()
 
 
 class TestZonotopeFacets:
