@@ -10,13 +10,12 @@ constrained zonotope to build reduced-order inner approximations.
 import numpy as np
 
 from .halfspaces import interval_refine
-from .reduction import eliminate_pair
+from .reduction import _canonical, eliminate_pair
 from .numerics import (
     INFEASIBLE,
     InfeasibleProgram,
     LpBuilder,
     NumericalError,
-    gauss_jordan_full_pivot,
     lin_coeff,
     nullspace_basis,
     optimize_scaling,
@@ -25,7 +24,6 @@ from .numerics import (
     solve_lp,
 )
 from .sets import (
-    ConstrainedZonotope,
     EmptySetError,
     HPolytope,
     Zonotope,
@@ -292,7 +290,7 @@ def conzono_to_ah(Z):
     a nonempty set and are dropped).
 
     A must have full row rank -- canonicalize with reduce_fully or
-    gauss_jordan_full_pivot first -- and empty sets are rejected.
+    reduction._canonical first -- and empty sets are rejected.
     """
     Z = as_conzono(Z)
     if is_empty(Z):
@@ -424,17 +422,9 @@ def make_template(Z_c, kind):
     variables; "box" is an axis-aligned unit template at an interior
     point.  Scales are not chosen here -- inner_scale decides them.
     """
-    Z = as_conzono(Z_c)
-    if Z.n_c:
-        R, d, info = gauss_jordan_full_pivot(Z.A, Z.b)
-        if info["inconsistent_rows"]:
-            raise EmptySetError("constraints are inconsistent; the set is empty")
-        rank = info["rank"]
-        work = ConstrainedZonotope(
-            Z.c, Z.G[:, info["col_perm"]],
-            R[:rank] if rank else None, d[:rank] if rank else None)
-    else:
-        work = Z
+    work = _canonical(as_conzono(Z_c))
+    if work is None:
+        raise EmptySetError("constraints are inconsistent; the set is empty")
 
     if kind in ("box", "zonotope"):
         s, T, *_ = _coefficient_polytope(work.A, work.b)

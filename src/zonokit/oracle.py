@@ -19,6 +19,10 @@ from .sets import EmptySetError, as_conzono
 
 DEFAULT_SEED = 42
 MEMBERSHIP_TOL = 1e-9
+# HiGHS primal feasibility tolerance of the support and distance LPs:
+# its default of 1e-7 reads points up to 1e-7 outside a set as inside,
+# far beyond MEMBERSHIP_TOL.
+PRIMAL_TOL = 1e-10
 SUPPORT_TOL = 1e-6
 GENERATOR_BUDGET = 128
 # Points per membership program.  Its dense matrices grow with the
@@ -104,7 +108,8 @@ def _support_point(Z, d):
     q = G.T @ d
     res = linprog(-q, A_eq=A, b_eq=b,
                   bounds=np.column_stack([-np.ones(Z.n_g), np.ones(Z.n_g)]),
-                  method="highs")
+                  method="highs",
+                  options={"primal_feasibility_tolerance": PRIMAL_TOL})
     if res.status == 2:
         raise EmptySetError("empty set has no support")
     if res.status != 0:
@@ -156,7 +161,8 @@ def _sup_distances(Z, points):
         cost = np.concatenate([np.zeros(m * n_g), np.ones(m)])
         bounds = [(-1.0, 1.0)] * (m * n_g) + [(0.0, None)] * m
         res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs")
+                      bounds=bounds, method="highs",
+                      options={"primal_feasibility_tolerance": PRIMAL_TOL})
         if res.status == 2:
             return np.full(len(P), np.inf)
         if res.status != 0:

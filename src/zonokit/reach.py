@@ -18,7 +18,7 @@ from .halfspaces import (
     conzono_in_halfspace,
     hpolytope_to_conzono,
 )
-from .reduction import remove_redundant_pair
+from .reduction import _strip_pairs
 from .sets import (
     HPolytope,
     Zonotope,
@@ -138,18 +138,14 @@ def wayset(sys, x_star, N, strategy="LP", keep_trace=False, passes=2):
 def wayset_reduce(Z_c):
     """Strip redundant constraints from a wayset without changing the set.
 
-    Repeats exact (constraint, generator) pair elimination until no
-    coefficient range stays inside [-1, 1], dropping one row and one
-    column per round.  Generator merging is deliberately left out: the
-    conventional complexity count for waysets tracks constraint
+    Exact (constraint, generator) pair elimination runs on one reduced
+    row-echelon form, which every elimination keeps, until no coefficient
+    range stays inside [-1, 1].  Generator merging is deliberately left
+    out: the conventional complexity count for waysets tracks constraint
     redundancy only, so this keeps e.g. parallel input generators from
     different steps distinct.  Use reduce_fully for maximum compression.
     """
-    Z = Z_c
-    while True:
-        Z, removed = remove_redundant_pair(Z)
-        if not removed:
-            return Z
+    return _strip_pairs(Z_c)
 
 
 def wayset_inner_box(Z_c, anchor=None):

@@ -123,53 +123,28 @@ def eliminate_pair(Z, r, c):
     return _make(cen, G[:, keep_g], A[np.ix_(keep_c, keep_g)], b[keep_c])
 
 
-def remove_redundant_pair(Z, passes=2):
-    """Try to eliminate one (constraint, generator) pair exactly.
-
-    The constraints are first brought to reduced row-echelon form by
-    Gauss-Jordan elimination with full pivoting (the accompanying column
-    permutation is applied to the generators, so the set is unchanged).
-    Interval refinement then bounds each coefficient; if solving
-    constraint row r for generator c gives a range
-
-        R_rc = (b_r - sum_{k != c} a_rk E_k) / a_rc
-
-    inside [-1, 1], that coefficient never binds and the pair is folded
-    away with :func:`eliminate_pair`.
-
-    Validity of the elimination depends on what E may be refined by:
-    the solved coefficient has to stay in [-1, 1] for everything the
-    *remaining* system allows, so row r must not vouch for its own
-    redundancy.  Candidates are therefore screened in two stages: the
-    range with the all-rows refinement (a necessary condition, since
-    tighter domains can only shrink R_rc) prunes the grid cheaply, and
-    each survivor is verified with E refined on the substituted system
-    -- the other rows with column c's solved expression folded in,
-    exactly the constraints the reduced set will carry.  Among verified
-    pairs the largest |a_rc| wins (numerical stability; the choice does
-    not affect set equality).
-
-    Returns (Z', removed).  When nothing qualifies the input object is
-    returned unchanged, except that consistent all-zero constraint rows
-    found during elimination are dropped as part of canonicalization.
-    """
+def _canonical(Z):
+    """Z with its constraints in full-pivot reduced row-echelon form
+    (generators permuted alike, vacuous rows dropped), or None when they
+    are inconsistent.  Every kept row has a unit pivot column."""
     if Z.n_c == 0:
-        return Z, False
-    R_mat, d, info = gauss_jordan_full_pivot(Z.A, Z.b)
+        return Z
+    R, d, info = gauss_jordan_full_pivot(Z.A, Z.b)
     if info["inconsistent_rows"]:
-        # Constraints are infeasible: the set is empty, nothing to do.
-        return Z, False
+        return None
     rank = info["rank"]
-    G = Z.G[:, info["col_perm"]]
-    A = R_mat[:rank]
-    bb = d[:rank]
-    if rank == 0:
-        return _make(Z.c, G, np.zeros((0, Z.n_g)), np.zeros(0)), False
+    return _make(Z.c, Z.G[:, info["col_perm"]], R[:rank], d[:rank])
 
-    work = _make(Z.c, G, A, bb)
+
+def _redundant_pair(work, passes):
+    """A removable (constraint, generator) pair (r, c) of a canonical
+    system, or None; see :func:`remove_redundant_pair` for the test."""
+    if work.n_c == 0:
+        return None
+    A, bb, G = work.A, work.b, work.G
     E, _ = interval_refine(work, iterations=passes)
     if E.any_empty:
-        return Z, False
+        return None
 
     def unit_cols(r, E):
         """Columns c of row r whose solved range R_rc lies in [-1, 1]."""
@@ -192,11 +167,53 @@ def remove_redundant_pair(Z, passes=2):
         if E_sub.any_empty:
             continue
         if cc in unit_cols(r, E_sub):
-            return eliminate_pair(work, r, cc), True
-    if A.shape[0] != Z.n_c:
-        # No removable pair, but vacuous rows were dropped.
-        return work, False
-    return Z, False
+            return r, cc
+    return None
+
+
+def remove_redundant_pair(Z, passes=2):
+    """Try to eliminate one (constraint, generator) pair exactly.
+
+    The constraints are brought to reduced row-echelon form by
+    full-pivot Gauss-Jordan elimination (generators permuted alike) and
+    interval refinement bounds each coefficient.  If solving row r for
+    generator c gives a range R_rc = (b_r - sum_{k != c} a_rk E_k) / a_rc
+    inside [-1, 1], that coefficient never binds and the pair is folded
+    away with :func:`eliminate_pair`.
+
+    Row r must not vouch for its own redundancy: the solved coefficient
+    has to stay in [-1, 1] for everything the *remaining* system allows.
+    So the all-rows refinement (a necessary condition, since tighter
+    domains only shrink R_rc) prunes the grid cheaply, and each survivor
+    is verified with E refined on the substituted system -- the other
+    rows with column c's solved expression folded in, exactly the
+    constraints the reduced set will carry.  Among verified pairs the
+    largest |a_rc| wins (numerical stability; set equality holds either
+    way).
+
+    Returns (Z', removed).  When nothing qualifies the input object is
+    returned unchanged, unless canonicalization dropped all-zero rows.
+    """
+    work = _canonical(Z)
+    if work is None:
+        return Z, False
+    pair = _redundant_pair(work, passes)
+    if pair is not None:
+        return eliminate_pair(work, *pair), True
+    return (Z if work.n_c == Z.n_c else work), False
+
+
+def _strip_pairs(Z, passes=2):
+    """Eliminate redundant pairs from one canonical form until none is
+    left; the input object comes back when nothing changed.  Row r is
+    zero in every other row's pivot column, so eliminate_pair keeps
+    those columns exactly unit: no second Gauss-Jordan pass is needed."""
+    work = _canonical(Z)
+    if work is None:
+        return Z
+    while (pair := _redundant_pair(work, passes)) is not None:
+        work = eliminate_pair(work, *pair)
+    return Z if work.n_c == Z.n_c else work
 
 
 def reduce_fully(Z, eps=EPS_PARALLEL, passes=2):
@@ -206,11 +223,8 @@ def reduce_fully(Z, eps=EPS_PARALLEL, passes=2):
     output can still contain redundancy the interval test cannot see;
     only set equality and the fixed point are guaranteed.
     """
-    current = Z
     while True:
-        merged = merge_parallel_lifted(current, eps)
-        reduced, removed = remove_redundant_pair(merged, passes=passes)
-        progressed = removed or merged is not current or reduced is not merged
-        if not progressed:
-            return current
-        current = reduced
+        reduced = _strip_pairs(merge_parallel_lifted(Z, eps), passes)
+        if reduced is Z:
+            return Z
+        Z = reduced

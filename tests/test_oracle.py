@@ -93,6 +93,20 @@ def test_sup_distances_of_a_constrained_square():
     assert oracle.membership(square, [1 + 1e-6, 0.3], tol=1e-5)
 
 
+def test_distances_resolve_below_the_solver_default_tolerance():
+    # HiGHS' default primal feasibility tolerance of 1e-7 read all three
+    # points as inside (distance 0)
+    square = generalized_intersection(
+        Zonotope([0.0, 0.0], [[1.0, 1.0], [1.0, -1.0]]),
+        Zonotope([0.0, 0.0], np.eye(2)))
+    eps = np.array([1e-7, 1e-8, 1e-9])
+    pts = np.column_stack([1.0 + eps, np.full(3, 0.3)])
+    assert np.allclose(oracle._sup_distances(square, pts), eps,
+                       rtol=0.0, atol=1e-10)
+    assert not oracle.membership(square, [1 + 1e-8, 0.3])
+    assert oracle.membership(square, [1 + 1e-8, 0.3], tol=2e-8)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_batched_distances_agree_with_membership(n):
     rng = np.random.default_rng(14 + n)
