@@ -6,6 +6,10 @@ library's own LP wrapper or closed-form shortcuts -- so the fast paths
 can be checked against an independently coded route.  Budgets are
 sized for n <= 4 and a few dozen generators: this module is test
 tooling, kept out of the supported API surface.
+
+Sweeps are batched, since most of a small linprog call is scipy's
+overhead: LP_BLOCKS directions or points go to one block-diagonal
+support (:func:`_support_points`) or distance (:func:`_sup_distances`) LP.
 """
 
 import itertools
@@ -19,16 +23,16 @@ from .sets import EmptySetError, as_conzono
 
 DEFAULT_SEED = 42
 MEMBERSHIP_TOL = 1e-9
-# HiGHS primal feasibility tolerance of the support and distance LPs:
-# its default of 1e-7 reads points up to 1e-7 outside a set as inside,
-# far beyond MEMBERSHIP_TOL.
+# HiGHS primal feasibility tolerance of the support, emptiness and
+# distance LPs: its default of 1e-7 reads points, or sets, up to 1e-7
+# from feasible as feasible, far beyond MEMBERSHIP_TOL.
 PRIMAL_TOL = 1e-10
 SUPPORT_TOL = 1e-6
 GENERATOR_BUDGET = 128
-# Points per membership program.  Its dense matrices grow with the
-# square of this count: 64 ran grids fastest but added 5 MiB to the
-# verify benchmark's peak RSS; 16 adds about 1 MiB at 7x one point.
-MEMBERSHIP_BLOCKS = 16
+# Blocks per support or distance program.  The dense matrices grow with
+# its square: 64 added 5 MiB to the verify benchmark's peak RSS; 16 adds
+# about 1 MiB and runs 7-8x faster than one direction or point per LP.
+LP_BLOCKS = 16
 
 _DEDUPE_DECIMALS = 9
 
@@ -93,28 +97,53 @@ def _raw(Z):
     return Z, Z.c, Z.G, Z.A, Z.b
 
 
-def _support_point(Z, d):
-    """Support value and a maximizing point, straight from the data."""
+def _support_points(Z, D):
+    """Support values and maximizing points for every row of D."""
     Z, c, G, A, b = _raw(Z)
-    d = np.asarray(d, dtype=float).reshape(-1)
+    D = np.atleast_2d(np.asarray(D, dtype=float))
+    dc = _rowwise(c[None], D)[:, 0]
     if Z.n_g == 0:
         if Z.n_c and np.max(np.abs(b)) > MEMBERSHIP_TOL:
             raise EmptySetError("empty set has no support")
-        return float(d @ c), c.copy()
+        return dc, np.tile(c, (len(D), 1))
+    Q = _rowwise(G.T, D)
     if Z.n_c == 0:
-        signs = np.sign(G.T @ d)
+        signs = np.sign(Q)
         signs[signs == 0] = 1.0
-        return float(d @ c + np.abs(G.T @ d).sum()), c + G @ signs
-    q = G.T @ d
-    res = linprog(-q, A_eq=A, b_eq=b,
-                  bounds=np.column_stack([-np.ones(Z.n_g), np.ones(Z.n_g)]),
-                  method="highs",
-                  options={"primal_feasibility_tolerance": PRIMAL_TOL})
-    if res.status == 2:
-        raise EmptySetError("empty set has no support")
-    if res.status != 0:
-        raise RuntimeError(f"support LP failed: {res.message}")
-    return float(d @ c - res.fun), c + G @ res.x
+        return dc + np.abs(Q).sum(axis=1), c + _rowwise(G, signs)
+    X = _maximizers(A, b, Q)
+    return dc + np.sum(Q * X, axis=1), c + _rowwise(G, X)
+
+
+def _rowwise(M, V):
+    """M @ v for every row v of V, stacked so that each row rounds as a
+    lone product does (V @ M.T groups the sums differently)."""
+    return (M @ V[:, :, None])[:, :, 0]
+
+
+def _maximizers(A, b, Q):
+    """A maximizer of q . xi over A xi = b, |xi| <= 1 for every row q of
+    Q, LP_BLOCKS rows to a program: the blocks share no variable, so
+    maximizing the sum maximizes each."""
+    X = np.empty_like(Q)
+    for start in range(0, len(Q), LP_BLOCKS):
+        q = Q[start:start + LP_BLOCKS]
+        res = linprog(-q.ravel(), A_eq=np.kron(np.eye(len(q)), A),
+                      b_eq=np.tile(b, len(q)),
+                      bounds=(-1.0, 1.0), method="highs",
+                      options={"primal_feasibility_tolerance": PRIMAL_TOL})
+        if res.status == 2:
+            raise EmptySetError("empty set has no support")
+        if res.status != 0:
+            raise RuntimeError(f"support LP failed: {res.message}")
+        X[start:start + len(q)] = res.x.reshape(q.shape)
+    return X
+
+
+def _support_point(Z, d):
+    """Support value and a maximizing point: one row of _support_points."""
+    (value,), (point,) = _support_points(Z, np.reshape(d, (1, -1)))
+    return float(value), point
 
 
 def support_lp(Z, d):
@@ -135,7 +164,7 @@ def _sup_distances(Z, points):
     """Sup-norm distance from each row of points to the set; inf if empty.
 
     Solves min t s.t. |p - c - G xi| <= t, A xi = b, |xi| <= 1 for one
-    point per block, MEMBERSHIP_BLOCKS blocks to a program: the blocks
+    point per block, LP_BLOCKS blocks to a program: the blocks
     share no variable, so minimizing the sum of the t_j minimizes each.
     """
     Z, c, G, A, b = _raw(Z)
@@ -146,8 +175,8 @@ def _sup_distances(Z, points):
         return np.max(np.abs(P - c), axis=1, initial=0.0)
     n_g, n = Z.n_g, Z.n
     out = np.empty(len(P))
-    for start in range(0, len(P), MEMBERSHIP_BLOCKS):
-        gaps = P[start:start + MEMBERSHIP_BLOCKS] - c
+    for start in range(0, len(P), LP_BLOCKS):
+        gaps = P[start:start + LP_BLOCKS] - c
         m = len(gaps)
         eye = np.eye(m)
         xi = np.kron(eye, G)
@@ -172,17 +201,10 @@ def _sup_distances(Z, points):
 
 
 def _empty_lp(Z):
-    Z, c, G, A, b = _raw(Z)
-    if Z.n_c == 0:
-        return False
-    if Z.n_g == 0:
-        return bool(np.max(np.abs(b)) > MEMBERSHIP_TOL)
-    res = linprog(np.zeros(Z.n_g), A_eq=A, b_eq=b,
-                  bounds=[(-1.0, 1.0)] * Z.n_g, method="highs")
-    if res.status == 2:
+    try:
+        _support_points(Z, np.zeros((1, as_conzono(Z).n)))  # a feasibility LP
+    except EmptySetError:
         return True
-    if res.status != 0:
-        raise RuntimeError(f"feasibility LP failed: {res.message}")
     return False
 
 
@@ -206,11 +228,7 @@ def enumerate_vertices(Z, max_generators=GENERATOR_BUDGET):
     if Z.n_g > max_generators:
         raise ValueError(
             f"generator budget exceeded ({Z.n_g} > {max_generators})")
-    candidates = []
-    for d in directions(Z.n):
-        _, point = _support_point(Z, d)  # EmptySetError propagates
-        candidates.append(point)
-    pts = _dedupe(np.array(candidates))
+    pts = _dedupe(_support_points(Z, directions(Z.n))[1])  # EmptySetError propagates
     if len(pts) == 1:
         return pts
     mean = pts.mean(axis=0)
@@ -316,16 +334,10 @@ class _SetProbe:
     def __init__(self, Z, tol=MEMBERSHIP_TOL):
         self.Z = as_conzono(Z)
         self.tol = tol
-        D = directions(self.Z.n)
-        vals, pts = [], []
-        for d in D:
-            v, p = _support_point(self.Z, d)
-            vals.append(v)
-            pts.append(p)
-        self.D = D
-        self.f = np.array(vals)
+        self.D = directions(self.Z.n)
+        self.f, pts = _support_points(self.Z, self.D)
         try:
-            hull = ConvexHull(_dedupe(np.array(pts)))
+            hull = ConvexHull(_dedupe(pts))
             self.inner = hull.equations
         except (QhullError, ValueError):
             self.inner = None  # flat set: fall through to LPs
@@ -346,8 +358,8 @@ class _SetProbe:
                     axis=1) <= self.tol
                 result[rows] = outer & inside
                 undecided[rows] = outer & ~inside
-        for i in np.flatnonzero(undecided):
-            result[i] = membership(self.Z, points[i], self.tol)
+        band = np.flatnonzero(undecided)
+        result[band] = _sup_distances(self.Z, points[band]) <= self.tol
         return result
 
 
@@ -365,9 +377,7 @@ def volume(Z, samples=200_000, seed=DEFAULT_SEED):
     if _empty_lp(Z):
         return 0.0, 0.0
     if n == 1:
-        hi = support_lp(Z, [1.0])
-        lo = -support_lp(Z, [-1.0])
-        return hi - lo, 0.0
+        return float(_support_points(Z, [[1.0], [-1.0]])[0].sum()), 0.0
     if n == 2:
         verts = enumerate_vertices(Z)
         return polygon_area(verts), 0.0
@@ -427,9 +437,9 @@ def sets_equal(X, Y, grid=15, tol=SUPPORT_TOL):
     empty_x, empty_y = _empty_lp(X), _empty_lp(Y)
     if empty_x or empty_y:
         return empty_x and empty_y
-    for d in directions(X.n):
-        if abs(support_lp(X, d) - support_lp(Y, d)) > tol:
-            return False
+    D = directions(X.n)
+    if np.any(np.abs(_support_points(X, D)[0] - _support_points(Y, D)[0]) > tol):
+        return False
     lo_x, hi_x = X.parent_zonotope().interval_hull()
     lo_y, hi_y = Y.parent_zonotope().interval_hull()
     lo = np.minimum(lo_x, lo_y)
@@ -457,10 +467,9 @@ def pontryagin_oracle(Z1, Z2, grid=41, tol=MEMBERSHIP_TOL):
     lo, hi = Z1.parent_zonotope().interval_hull()
     anchor = verts.mean(axis=0)  # in Z2, so the difference fits the shifted box
     points = _grid(lo - anchor, hi - anchor, int(grid))
-    mask = np.zeros(len(points), dtype=bool)
-    for i, z in enumerate(points):
-        mask[i] = all(membership(Z1, z + v, tol) for v in verts)
-    return points, mask
+    shifted = (points[:, None, :] + verts[None, :, :]).reshape(-1, Z1.n)
+    inside = _sup_distances(Z1, shifted) <= tol
+    return points, inside.reshape(len(points), len(verts)).all(axis=1)
 
 
 def horizon_feasible(sys, x0, x_star, N, tol=MEMBERSHIP_TOL):
@@ -526,17 +535,8 @@ def sample_coeffs(Z, count, seed=DEFAULT_SEED):
         return np.zeros((count, 0))
     if Z.n_c == 0:
         return rng.uniform(-1.0, 1.0, (count, Z.n_g))
-    basis = []
-    for _ in range(min(max(2 * Z.n_g, 8), 48)):
-        d = rng.standard_normal(Z.n_g)
-        res = linprog(-d, A_eq=A, b_eq=b, bounds=[(-1.0, 1.0)] * Z.n_g,
-                      method="highs")
-        if res.status == 2:
-            raise EmptySetError("cannot sample an empty set")
-        if res.status != 0:
-            raise RuntimeError(f"sampling LP failed: {res.message}")
-        basis.append(res.x)
-    basis = np.array(basis)
+    basis = _maximizers(
+        A, b, rng.standard_normal((min(max(2 * Z.n_g, 8), 48), Z.n_g)))
     weights = rng.dirichlet(np.ones(len(basis)), size=count)
     return weights @ basis
 

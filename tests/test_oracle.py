@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from zonokit import (
     ConstrainedZonotope,
@@ -8,9 +9,12 @@ from zonokit import (
     Zonotope,
     contains_point,
     generalized_intersection,
+    is_empty,
+    pontryagin_iterative,
     support,
 )
 from zonokit.reach import LinearSystem
+from zonokit.sets import as_conzono
 from zonokit import oracle
 
 from conftest import make_conzono, make_zonotope
@@ -119,7 +123,7 @@ def test_batched_distances_agree_with_membership(n):
                       for d in D[np.linspace(0, len(D) - 1, 30).astype(int)]])
             for eps in (1e-10, 3e-6)]
     pts = np.vstack([rng.uniform(-3, 3, size=(40, n)), *near])
-    assert len(pts) > oracle.MEMBERSHIP_BLOCKS
+    assert len(pts) > oracle.LP_BLOCKS
     dist = oracle._sup_distances(Z, pts)
     single = [oracle._sup_distances(Z, p[None])[0] for p in pts]
     assert np.allclose(dist, single, rtol=0.0, atol=1e-9)
@@ -127,6 +131,139 @@ def test_batched_distances_agree_with_membership(n):
         got = dist <= tol
         assert got.tolist() == [oracle.membership(Z, p, tol) for p in pts]
         assert got[40:70].all() and not got[70:].any()
+
+
+def _one_direction_support(Z, d):
+    """Support value and point from one LP per direction: the sweep as
+    it was solved before directions were batched."""
+    Z = as_conzono(Z)
+    c, G, A, b = Z.c, Z.G, Z.A, Z.b
+    if Z.n_g == 0:
+        if Z.n_c and np.max(np.abs(b)) > oracle.MEMBERSHIP_TOL:
+            raise EmptySetError("empty set has no support")
+        return float(d @ c), c.copy()
+    if Z.n_c == 0:
+        signs = np.sign(G.T @ d)
+        signs[signs == 0] = 1.0
+        return float(d @ c + np.abs(G.T @ d).sum()), c + G @ signs
+    res = linprog(-(G.T @ d), A_eq=A, b_eq=b, bounds=(-1.0, 1.0),
+                  method="highs",
+                  options={"primal_feasibility_tolerance": oracle.PRIMAL_TOL})
+    if res.status == 2:
+        raise EmptySetError("empty set has no support")
+    assert res.status == 0, res.message
+    return float(d @ c - res.fun), c + G @ res.x
+
+
+def _one_direction_support_points(Z, D):
+    values, points = zip(*(_one_direction_support(Z, d) for d in D))
+    return np.array(values), np.array(points)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_support_matches_one_lp_per_direction(n, monkeypatch):
+    rng = np.random.default_rng(20 + n)
+    D = rng.standard_normal((2 * oracle.LP_BLOCKS + 7, n))
+    D /= np.linalg.norm(D, axis=1, keepdims=True)
+    sets = {"constrained": make_conzono(rng, n, 7, 2),
+            "plain": make_zonotope(rng, n, 5),
+            "no generators": Zonotope(rng.normal(size=n), np.zeros((n, 0)))}
+    for kind, Z in sets.items():
+        values, points = oracle._support_points(Z, D)
+        want_values, _ = _one_direction_support_points(Z, D)
+        assert np.max(np.abs(values - want_values)) <= 1e-12, kind
+        assert np.allclose(np.sum(points * D, axis=1), values,
+                           rtol=0.0, atol=1e-9), kind
+        assert oracle.support_lp(Z, D[5]) == pytest.approx(values[5], abs=1e-12)
+        got = oracle.enumerate_vertices(Z)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_support_points",
+                          _one_direction_support_points)
+            want = oracle.enumerate_vertices(Z)
+        assert len(got) == len(want), kind
+        assert ({tuple(v) for v in np.round(got, 9)}
+                == {tuple(v) for v in np.round(want, 9)}), kind
+
+
+def test_batched_support_reports_empty_sets():
+    D = oracle.directions(2)
+    for bad in (ConstrainedZonotope([0.0, 0.0], np.eye(2), [[1.0, 1.0]], [3.0]),
+                ConstrainedZonotope([0.0, 0.0], np.zeros((2, 0)),
+                                    np.zeros((1, 0)), [1.0])):
+        with pytest.raises(EmptySetError):
+            oracle._support_points(bad, D)
+
+
+def test_empty_below_the_solver_default_tolerance():
+    # infeasible by 1e-8: at HiGHS' default primal tolerance of 1e-7 the
+    # emptiness test passed it, then the support LPs found it empty
+    S = ConstrainedZonotope([0.0, 0.0], np.eye(2), [[1.0, 1.0]], [2.0 + 1e-8])
+    assert oracle.volume(S) == (0.0, 0.0)
+    assert oracle.sets_equal(S, S) is True
+    with pytest.raises(EmptySetError):
+        oracle.sample_inside(S, 3)
+
+
+def _verify_pair(seed):
+    """The verify benchmark workload's random Pontryagin pair."""
+    rng = np.random.default_rng(seed)
+    make_conzono(rng, 2, 6, 2)  # the workload draws its random set first
+    while True:
+        A = Zonotope(rng.normal(size=2), rng.normal(size=(2, 4)))
+        B = Zonotope(0.2 * rng.normal(size=2), 0.3 * rng.normal(size=(2, 2)))
+        if not is_empty(pontryagin_iterative(A, B)):
+            return A, B
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pontryagin_mask_matches_one_membership_per_point(seed):
+    A, B = _verify_pair(seed)
+    points, mask = oracle.pontryagin_oracle(A, B, grid=13)
+    verts = oracle.enumerate_vertices(B)
+    want = [all(oracle.membership(A, z + v) for v in verts) for z in points]
+    assert 0 < mask.sum() < len(mask)
+    assert np.array_equal(mask, want)
+
+
+def _per_point_classify(probe, points):
+    """_SetProbe.classify with one membership LP per band point; also
+    returns the band."""
+    outer = np.max(points @ probe.D.T - probe.f, axis=1) <= probe.tol
+    inside = np.zeros(len(points), dtype=bool)
+    if probe.inner is not None:
+        inside = np.max(points @ probe.inner[:, :-1].T + probe.inner[:, -1],
+                        axis=1) <= probe.tol
+    result, band = outer & inside, outer & ~inside
+    for i in np.flatnonzero(band):
+        result[i] = oracle.membership(probe.Z, points[i], probe.tol)
+    return result, band
+
+
+def test_probe_band_matches_one_membership_per_point():
+    rng = np.random.default_rng(31)
+    solid = make_conzono(rng, 3, 6, 2)
+    # a flat set has no inner hull, so every point the outer polytope
+    # keeps goes to the LPs
+    plane = rng.normal(size=(3, 2))
+    flat = ConstrainedZonotope(rng.normal(size=3),
+                               plane @ rng.normal(size=(2, 5)),
+                               rng.normal(size=(1, 5)), [0.3])
+    for Z in (solid, flat):
+        probe = oracle._SetProbe(Z)
+        # points near the vertices, where the sweep's outer polytope is
+        # loosest, and points of the set's plane and of its box
+        verts = oracle.enumerate_vertices(Z)
+        push = rng.standard_normal((300, 3)) * rng.uniform(0, 0.02, (300, 1))
+        lo, hi = Z.parent_zonotope().interval_hull()
+        points = np.vstack([
+            verts[rng.integers(len(verts), size=300)] + push,
+            Z.c + rng.uniform(-3, 3, (300, 2)) @ plane.T,
+            lo + rng.random((300, 3)) * (hi - lo)])
+        want, band = _per_point_classify(probe, points)
+        assert band.sum() >= 10
+        assert np.array_equal(probe.classify(points), want)
+    assert probe.inner is None
+    assert 0 < want[band].sum() < band.sum()
 
 
 def test_sample_inside_lands_inside():
