@@ -179,7 +179,9 @@ def rpi_onestep(sys, s, norm="inf"):
     Returns (Z, ScalingResult); the result's certificate stores the raw
     multipliers (gamma = [Gamma1, Gamma2], beta), whose containment
     budgets are relative to phi rather than 1.  Raises ValueError when
-    no scaling on this template supports invariance (s too small).
+    no scaling on this template supports invariance (s too small), and
+    for ``norm="2"``: minimizing the 2-norm is a QP, so only norms
+    "inf" and 1 are accepted.
     """
     W, A = sys.W, sys.A
     n = sys.n

@@ -344,19 +344,26 @@ class LpBuilder:
         return block.reshape(shape, order="F")
 
 
-def optimize_scaling(builder, phi_name, norm, maximize, fw_iters=40):
-    """Optimize ||phi||_norm over the constraint set loaded in a builder.
+# Cap on the linearization steps of the 2-norm climb.
+CLIMB_STEPS = 40
 
-    ``norm`` is 1, 2 or "inf".  The 1-norm and inf-norm cases are
-    single LPs (the inf-norm couples phi to a fresh bound variable
-    shared by every entry).  The 2-norm is quadratic: minimization is
-    delegated to cvxpy (optional dependency), maximization -- a convex
-    maximization, so NP-hard in general -- is handled by iterated
-    linearization from the 1-norm optimum and is a documented local
-    optimum, not a global one.  When maximizing, an entry of phi that no
-    equality row touches sizes nothing (its template column is zero)
-    and would make the program unbounded, so it gets zero weight in the
-    1-norm objective and in the 2-norm gradient.
+
+def optimize_scaling(builder, phi_name, norm, maximize, template=None):
+    """Optimize the size of ``template diag(phi)`` over the constraint set
+    loaded in a builder.
+
+    ``norm`` is 1, 2 or "inf".  Norms 1 and 2 measure the entrywise norm
+    of ``template diag(phi)``; the default identity template gives
+    ||phi||.  The 1-norm is one LP weighted by the template's column
+    abs-sums.  The 2-norm is only maximized -- a convex maximization, so
+    NP-hard in general -- by a climb of linearizations from the 1-norm
+    optimum, which ends at a documented local optimum, not a global one;
+    minimizing it is a QP and raises ValueError.  The inf-norm is one LP
+    that couples every entry of phi to a fresh shared bound variable; it
+    ignores the template.  When maximizing, an entry of phi that no
+    equality row touches sizes nothing and would make the program
+    unbounded, so it gets zero weight in the 1-norm objective and in the
+    2-norm gradient.
 
     Returns the full solution vector; raises on infeasibility with the
     outcome attached (callers map this to their own domain errors).
@@ -364,34 +371,12 @@ def optimize_scaling(builder, phi_name, norm, maximize, fw_iters=40):
     norm = str(norm).lower()
     if norm not in ("1", "2", "inf"):
         raise ValueError("norm must be 1, 2 or 'inf'")
+    if norm == "2" and not maximize:
+        raise ValueError("2-norm minimization is a QP; use norm 1 or 'inf'")
     m = builder.size(phi_name)
-    ones = np.ones(m)
-
-    if norm == "1" or (norm == "2" and maximize):
-        weights = _eq_touched(builder, phi_name) * 1.0 if maximize else ones
-        builder.objective({phi_name: weights}, maximize=maximize)
-        out = solve_lp(builder.build())
-        _require_optimal(out)
-        x = out.x
-        if norm == "1":
-            return x
-        # 2-norm maximization: iterate linearizations of the gradient.
-        prev = -np.inf
-        for _ in range(fw_iters):
-            phi = builder.value(x, phi_name) * weights
-            nrm = float(np.linalg.norm(phi))
-            if nrm <= prev + 1e-12:
-                break
-            prev = nrm
-            grad = phi / nrm if nrm > 0 else weights
-            builder.objective({phi_name: grad}, maximize=True)
-            out = solve_lp(builder.build())
-            _require_optimal(out)
-            x = out.x
-        return x
 
     if norm == "inf":
-        t = builder.var("_phi_bound", 1)
+        builder.var("_phi_bound", 1)
         S = np.eye(m)
         tcol = np.ones((m, 1))
         if maximize:
@@ -400,16 +385,38 @@ def optimize_scaling(builder, phi_name, norm, maximize, fw_iters=40):
         else:
             # min t with phi_i <= t for all i.
             builder.le({phi_name: S, "_phi_bound": -tcol}, np.zeros(m))
-        builder.objective({"_phi_bound": np.ones(1)}, maximize=maximize)
-        out = solve_lp(builder.build())
-        _require_optimal(out)
-        return out.x
+        return _solve_scaling(builder, "_phi_bound", np.ones(1), maximize)
 
-    # norm == "2", minimize: a QP; use cvxpy when available.
-    p = builder.build()
-    off = builder._offset[phi_name]
-    sl = slice(off, off + m)
-    return _min_norm2(p, sl)
+    T = np.eye(m) if template is None else np.asarray(template, dtype=float)
+    weights = np.abs(T).sum(axis=0)
+    col_sq = (T ** 2).sum(axis=0)
+    if maximize:
+        touched = _eq_touched(builder, phi_name)
+        weights, col_sq = weights * touched, col_sq * touched
+    x = _solve_scaling(builder, phi_name, weights, maximize)
+    if norm == "1":
+        return x
+
+    # 2-norm maximization: climb along the gradient of ||T diag(phi)||^2.
+    prev = -np.inf
+    for _ in range(CLIMB_STEPS):
+        phi = builder.value(x, phi_name)
+        size = float(np.sqrt(col_sq @ phi ** 2))
+        if size <= prev + 1e-12:
+            break
+        prev = size
+        grad = col_sq * phi
+        if not grad.any():
+            break
+        x = _solve_scaling(builder, phi_name, grad, True)
+    return x
+
+
+def _solve_scaling(builder, name, weights, maximize):
+    builder.objective({name: weights}, maximize=maximize)
+    out = solve_lp(builder.build())
+    _require_optimal(out)
+    return out.x
 
 
 def _eq_touched(builder, name):
@@ -437,35 +444,6 @@ def _require_optimal(out):
                              "set is not bounded or the template is degenerate")
     if not out.ok:
         raise NumericalError(f"scaling program failed: {out.status}")
-
-
-def _min_norm2(p, sl):
-    try:
-        import cvxpy as cp
-    except ImportError as exc:
-        raise NumericalError(
-            "2-norm minimization needs cvxpy (install the 'qp' extra); "
-            "norms 1 and inf are pure-LP"
-        ) from exc
-    x = cp.Variable(p.n_vars)
-    cons = []
-    if p.a_ub.size:
-        cons.append(p.a_ub @ x <= p.b_ub)
-    if p.a_eq.size:
-        cons.append(p.a_eq @ x == p.b_eq)
-    lo_f = np.isfinite(p.lo)
-    hi_f = np.isfinite(p.hi)
-    if lo_f.any():
-        cons.append(x[np.flatnonzero(lo_f)] >= p.lo[lo_f])
-    if hi_f.any():
-        cons.append(x[np.flatnonzero(hi_f)] <= p.hi[hi_f])
-    prob = cp.Problem(cp.Minimize(cp.sum_squares(x[sl])), cons)
-    prob.solve()
-    if prob.status in ("infeasible", "infeasible_inaccurate"):
-        raise InfeasibleProgram(LpOutcome(INFEASIBLE))
-    if x.value is None:
-        raise NumericalError(f"QP solver returned {prob.status}")
-    return np.asarray(x.value, dtype=float).reshape(-1)
 
 
 def lin_coeff(shape, left=None, right=None):

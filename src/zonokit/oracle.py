@@ -484,7 +484,8 @@ def horizon_feasible(sys, x0, x_star, N, tol=MEMBERSHIP_TOL):
 
     The terminal condition is an equality up to tol (two-sided rows),
     which keeps points produced by float recursions from being rejected
-    on roundoff.  Independent of the backward recursion: it never calls
+    on roundoff; HiGHS runs at PRIMAL_TOL, below tol, so tol is the
+    tolerance enforced.  Independent of the backward recursion: it never calls
     the set operations whose output it is meant to judge.
     """
     A = np.asarray(sys.A, dtype=float)
@@ -513,7 +514,8 @@ def horizon_feasible(sys, x0, x_star, N, tol=MEMBERSHIP_TOL):
     A_ub = np.vstack([A_ub, coef[N], -coef[N]])
     b_ub = np.concatenate([b_ub, gap + tol, -gap + tol])
     res = linprog(np.zeros(N * m), A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(-1.0, 1.0)] * (N * m), method="highs")
+                  bounds=[(-1.0, 1.0)] * (N * m), method="highs",
+                  options={"primal_feasibility_tolerance": PRIMAL_TOL})
     if res.status == 2:
         return False
     if res.status != 0:

@@ -9,12 +9,7 @@ generator template.
 import numpy as np
 
 from .containment import ScalingResult, _zonotope_certificate
-from .numerics import (
-    InfeasibleProgram,
-    LpBuilder,
-    _require_optimal,
-    solve_lp,
-)
+from .numerics import InfeasibleProgram, LpBuilder, optimize_scaling
 from .reduction import reduce_fully
 from .sets import (
     EmptySetError,
@@ -120,57 +115,29 @@ def pontryagin_onestep(Z1, Z2, norm="inf"):
     return Zonotope(cd, Gt * phi), ScalingResult(phi, cd, read(x))
 
 
-def _solve_for(b, weights):
-    b.objective({"phi": weights}, maximize=True)
-    out = solve_lp(b.build())
-    _require_optimal(out)
-    return out.x
-
-
 def _maximize_template(b, Gt, norm):
     """Maximize the chosen size measure of Gt diag(phi) over the builder's
     constraint set and return the solution vector.
     """
     norm = str(norm).lower()
-    if norm not in ("1", "2", "inf"):
-        raise ValueError("norm must be 1, 2 or 'inf'")
-    col_abs = np.abs(Gt).sum(axis=0)
+    if norm != "inf":
+        return optimize_scaling(b, "phi", norm, True, template=Gt)
 
-    if norm == "1":
-        return _solve_for(b, col_abs)
-
-    if norm == "2":
-        col_sq = (Gt ** 2).sum(axis=0)
-        x = _solve_for(b, col_abs)
-        prev = -np.inf
-        for _ in range(40):
-            phi = b.value(x, "phi")
-            size = float(np.sqrt(col_sq @ phi ** 2))
-            if size <= prev + 1e-12:
-                break
-            prev = size
-            grad = col_sq * phi
-            if not grad.any():
-                break
-            x = _solve_for(b, grad)
-        return x
-
-    best_value, best_weights = -np.inf, None
+    best_value, best_row = -np.inf, None
     for row in np.abs(Gt):
         if not row.any():
             continue
-        x = _solve_for(b, row)
+        x = optimize_scaling(b, "phi", "1", True, template=row[None])
         value = float(row @ b.value(x, "phi"))
         if value > best_value + 1e-12:
-            best_value, best_weights = value, row
-    if best_weights is None:  # zero template: feasibility only
-        return _solve_for(b, np.zeros(Gt.shape[1]))
+            best_value, best_row = value, row
     # The row-sum optimum is rarely unique -- a single long generator can
     # match the whole budget -- so pin the winning row and spend any
     # remaining slack on total scale, which picks a full-bodied optimum
-    # over a degenerate one.
-    b.le({"phi": -best_weights[None, :]}, np.array([1e-9 - best_value]))
-    return _solve_for(b, np.ones(Gt.shape[1]))
+    # over a degenerate one.  A zero template leaves feasibility only.
+    if best_row is not None:
+        b.le({"phi": -best_row[None, :]}, np.array([1e-9 - best_value]))
+    return optimize_scaling(b, "phi", "1", True)
 
 
 def onestep_decision_vars(n_g1, n_g2, n):

@@ -11,10 +11,13 @@ from zonokit import (
     make_template,
     zonotope_contains,
 )
+from zonokit import containment
 from zonokit.containment import (
+    RESIDUAL_TOL,
     ah_containment_residual,
     zonotope_containment_residual,
 )
+from zonokit.numerics import _eq_touched, solve_lp
 from zonokit import oracle
 
 from conftest import make_zonotope
@@ -140,3 +143,41 @@ class TestInnerScale:
         assert ah_containment_residual(X, Y, result.certificate) < 1e-6
         cert = ah_contains(X, Y)
         assert cert is not None and ah_containment_residual(X, Y, cert) < 1e-6
+
+    @pytest.mark.parametrize("kind", ["drop_pair", "zonotope", "box"])
+    def test_norm2_climb_matches_normalised_gradient(self, kind, monkeypatch):
+        # The 2-norm climb steps along col_sq * phi; a climb along the
+        # normalised gradient phi / ||phi|| must land on the same optimum.
+        template = make_template(ZC, kind)
+        _, got = inner_scale(ZC, template, norm="2")
+        monkeypatch.setattr(containment, "optimize_scaling",
+                            normalised_norm2_climb)
+        scaled, ref = inner_scale(ZC, template, norm="2")
+        for a, b in ((got.phi, ref.phi), (got.center, ref.center)):
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+        X, Y = conzono_to_ah(scaled), conzono_to_ah(ZC)
+        assert ah_containment_residual(X, Y, got.certificate) < RESIDUAL_TOL
+
+
+def normalised_norm2_climb(builder, phi_name, norm, maximize):
+    """2-norm maximization of an untemplated phi by iterated
+    linearization along the normalised gradient phi / ||phi||."""
+    assert (norm, maximize) == ("2", True)
+
+    def maximize_along(weights):
+        builder.objective({phi_name: weights}, maximize=True)
+        out = solve_lp(builder.build())
+        assert out.ok
+        return out.x
+
+    weights = _eq_touched(builder, phi_name) * 1.0
+    x = maximize_along(weights)
+    prev = -np.inf
+    for _ in range(40):
+        phi = builder.value(x, phi_name) * weights
+        nrm = float(np.linalg.norm(phi))
+        if nrm <= prev + 1e-12:
+            break
+        prev = nrm
+        x = maximize_along(phi / nrm if nrm > 0 else weights)
+    return x

@@ -142,6 +142,10 @@ class TestRpiOnestep:
         budget = np.abs(g1).sum(1) + np.abs(g2).sum(1) + np.abs(beta)
         assert (budget <= phi + 1e-6).all()
 
+    def test_norm_2_is_rejected(self, closed_loop):
+        with pytest.raises(ValueError, match="use norm 1 or 'inf'"):
+            rpi_onestep(closed_loop, 2, norm="2")
+
     def test_shrinks_toward_iterative_reference(self, closed_loop):
         ref, _, _ = mrpi_iterative(closed_loop, 1e-9)
         ratios = [oracle.volume_ratio(rpi_onestep(closed_loop, s)[0], ref)

@@ -174,6 +174,19 @@ class TestCli:
         assert self.run("intersect", z, p, "--ia-passes", "3",
                         "-o", tmp_path / "out.json") == 1
 
+    def test_pontryagin_onestep_with_a_zero_generator(self, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        out = tmp_path / "out.json"
+        write_set(a, Zonotope([0.0, 0.0], [[1.0, 0.0, 0.5, 0.0],
+                                            [0.0, 1.0, 0.2, 0.0]]))
+        write_set(b, Zonotope([0.0, 0.0], 0.1 * np.eye(2)))
+        assert self.run("pontryagin", a, b, "--method", "onestep",
+                        "-o", out) == 0
+        D = read_set(out)
+        assert D.n_g == 6
+        assert oracle.support_lp(D, [1.0, 0.0]) > 0.0
+
     def test_usage_error_exit_code(self, capsys):
         assert self.run("frobnicate") == 1
         assert self.run("volume") == 1
@@ -230,8 +243,11 @@ class TestLpTol:
 def test_console_entry_point(tmp_path):
     z = tmp_path / "z.json"
     write_set(z, Zonotope([0.5], [[2.0]]))
+    # The child imports the same zonokit as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "zonokit.cli", "info", str(z)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "zonotope n=1 n_g=1 n_c=0 order=1 dof_order=1"

@@ -7,8 +7,10 @@ from zonokit.numerics import (
     UNBOUNDED,
     InfeasibleProgram,
     LinearProgram,
+    LpBuilder,
     gauss_jordan_full_pivot,
     nullspace_basis,
+    optimize_scaling,
     pinv_solve,
     solve_lp,
 )
@@ -95,3 +97,46 @@ def test_infeasible_program_exception_carries_status():
             LinearProgram([1.0], a_ub=[[1.0], [-1.0]], b_ub=[-2.0, -2.0])))
     except InfeasibleProgram as e:
         assert "infeasible" in str(e)
+
+
+def scaling_builder():
+    # phi_0 = phi_1 - phi_2 + s with phi_0 + phi_1 <= 1 and phi_2 <= 1;
+    # phi_3 appears in no equality row and has no upper bound.
+    b = LpBuilder()
+    b.var("phi", 4, lo=0.0)
+    b.var("s", 1)
+    b.eq({"phi": [[1.0, -1.0, 1.0, 0.0]], "s": [[-1.0]]}, [0.0])
+    b.le({"phi": [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]}, [1.0, 1.0])
+    return b
+
+
+class TestOptimizeScaling:
+    @pytest.mark.parametrize("norm, maximize", [
+        ("1", True), ("2", True), ("1", False), ("inf", False), ("inf", True)])
+    def test_identity_template_is_the_default(self, norm, maximize):
+        b0, b1 = scaling_builder(), scaling_builder()
+        x0 = optimize_scaling(b0, "phi", norm, maximize)
+        x1 = optimize_scaling(b1, "phi", norm, maximize, template=np.eye(4))
+        assert np.array_equal(x0, x1)
+
+    @pytest.mark.parametrize("norm", ["1", "2"])
+    def test_untouched_entry_gets_zero_weight(self, norm):
+        # Unweighted, phi_3 would make the maximization unbounded.
+        for template in (None, np.ones((2, 4))):
+            b = scaling_builder()
+            x = optimize_scaling(b, "phi", norm, True, template=template)
+            phi = b.value(x, "phi")
+            assert phi[0] + phi[1] == pytest.approx(1.0)
+            assert phi[2] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("norm", ["1", "2"])
+    def test_template_weights_pick_the_longer_column(self, norm):
+        b = scaling_builder()
+        template = np.array([[3.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        phi = b.value(optimize_scaling(b, "phi", norm, True,
+                                       template=template), "phi")
+        assert phi[:3] == pytest.approx([1.0, 0.0, 1.0])
+
+    def test_minimizing_the_2_norm_is_rejected(self):
+        with pytest.raises(ValueError, match="use norm 1 or 'inf'"):
+            optimize_scaling(scaling_builder(), "phi", "2", False)

@@ -330,6 +330,16 @@ class TestHorizonFeasible:
         # reaching (-5, 5)-ish corners requires leaving X midway
         assert not oracle.horizon_feasible(self.sys, [5.0, -0.5], [5.0, 0.5], 2)
 
+    @pytest.mark.parametrize("eps, reachable", [
+        (0.0, True), (5e-10, True), (5e-9, False), (2e-8, False),
+        (5e-8, False)])
+    def test_terminal_equality_holds_to_tol(self, eps, reachable):
+        # (1, 0.5) is the edge of the one-step reach set; a target eps
+        # beyond it is reachable only within the terminal tolerance 1e-9.
+        x0 = np.array([1.0, 0.0])
+        assert oracle.horizon_feasible(self.sys, x0, [1.0, 0.5 + eps],
+                                       1) is reachable
+
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             oracle.horizon_feasible(self.sys, [0.0, 0.0], [0.0, 0.0], 0)

@@ -43,22 +43,43 @@ def test_onestep_close_to_exact_in_volume():
     assert ratio <= 1.0 + 0.02  # inner approximation cannot exceed the truth
 
 
-@pytest.mark.parametrize("norm", ["inf", "1", "2"])
-def test_onestep_certificate_meets_its_equations(norm):
+def assert_onestep_certified(Z1, Z2, norm):
     # [G1 G2] Phi = G1 Gamma_t, G2 = G1 Gamma_s, c1 - (c_d + c2) = G1 beta,
     # |Gamma| 1 + |beta| <= 1, in the returned layout.
-    G1, G2 = Z1_3D.G, Z2_3D.G
+    G1, G2 = Z1.G, Z2.G
     Gt = np.hstack([G1, G2])
     nt = Gt.shape[1]
-    S, res = pontryagin_onestep(Z1_3D, Z2_3D, norm=norm)
+    S, res = pontryagin_onestep(Z1, Z2, norm=norm)
     gamma, beta, phi, cd = (res.certificate.gamma, res.certificate.beta,
                             res.phi, res.center)
     assert gamma.shape == (G1.shape[1], nt + G2.shape[1])
     assert np.array_equal(S.G, Gt * phi) and np.array_equal(S.c, cd)
     assert np.abs(Gt * phi - G1 @ gamma[:, :nt]).max() < 1e-6
     assert np.abs(G2 - G1 @ gamma[:, nt:]).max() < 1e-6
-    assert np.abs(Z1_3D.c - (cd + Z2_3D.c) - G1 @ beta).max() < 1e-6
+    assert np.abs(Z1.c - (cd + Z2.c) - G1 @ beta).max() < 1e-6
     assert (np.abs(gamma).sum(1) + np.abs(beta) <= 1.0 + 1e-6).all()
+    return S
+
+
+@pytest.mark.parametrize("norm", ["inf", "1", "2"])
+def test_onestep_certificate_meets_its_equations(norm):
+    assert_onestep_certified(Z1_3D, Z2_3D, norm)
+
+
+@pytest.mark.parametrize("norm", ["inf", "1", "2"])
+@pytest.mark.parametrize("zero_in", ["Z1", "Z2"])
+def test_onestep_with_a_zero_generator(norm, zero_in):
+    # A zero template column sizes nothing; its scale must not make the
+    # program unbounded.
+    G1 = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.2]])
+    G2 = 0.1 * np.eye(2)
+    if zero_in == "Z1":
+        G1 = np.hstack([G1, np.zeros((2, 1))])
+    else:
+        G2 = np.hstack([G2, np.zeros((2, 1))])
+    Z1, Z2 = Zonotope([0.0, 0.0], G1), Zonotope([0.0, 0.0], G2)
+    S = assert_onestep_certified(Z1, Z2, norm)
+    assert np.abs(S.G).sum() > 0.0
 
 
 def test_onestep_inside_iterative_inside_oracle():
