@@ -5,7 +5,7 @@ halfspace before a cut is folded into the representation:
 
 * ``ZH`` -- algebraic hyperplane-crossing test on the parent zonotope
   (exact for zonotopes, conservative for constrained zonotopes),
-* ``LP`` -- two support LPs over the constrained coefficients (exact),
+* ``LP`` -- one support LP over the constrained coefficients (exact),
 * ``IA`` -- interval refinement of the coefficient constraints of the
   raw cut by the complement halfspace (:func:`_raw_cut`, which is not a
   valid set when its window width d_m < 0; plain zonotopes use the
@@ -14,13 +14,14 @@ halfspace before a cut is folded into the representation:
 
 import numpy as np
 
-from .numerics import (LinearProgram, solve_lp, OPTIMAL, INFEASIBLE,
-                       UNBOUNDED, NumericalError)
+from .numerics import (LinearProgram, solve_lp, INFEASIBLE, UNBOUNDED,
+                       NumericalError)
 from .sets import (
     ConstrainedZonotope,
     EmptySetError,
     Halfspace,
     Zonotope,
+    _coefficient_lp,
     support,
     TOL,
 )
@@ -159,6 +160,15 @@ def conzono_halfspace_intersection(Z, hs):
     return _fold(Z, hs)
 
 
+def _support(Z, h):
+    """max h @ x over Z by one coefficient LP; EmptySetError when Z is empty."""
+    objective = h @ Z.G
+    xi = _coefficient_lp(Z, objective, maximize=True)
+    if xi is None:
+        raise EmptySetError("set is empty")
+    return float(h @ Z.c) + float(objective @ xi)
+
+
 def conzono_hyperplane_range(Z, hs):
     """Range (f_min, f_max) of h @ x over a constrained zonotope via two LPs.
 
@@ -167,43 +177,15 @@ def conzono_hyperplane_range(Z, hs):
     """
     if hs.h.size != Z.n:
         raise ValueError("halfspace dimension mismatch")
-    if Z.n_g == 0:
-        if Z.n_c and not (np.abs(Z.b) <= TOL).all():
-            raise EmptySetError("set is empty")
-        v = float(hs.h @ Z.c)
-        return v, v
-    obj = hs.h @ Z.G
-    lo, hi = -np.ones(Z.n_g), np.ones(Z.n_g)
-    a_eq = Z.A if Z.n_c else None
-    b_eq = Z.b if Z.n_c else None
-    out_min = solve_lp(LinearProgram(obj, a_eq=a_eq, b_eq=b_eq, lo=lo, hi=hi))
-    out_max = solve_lp(LinearProgram(obj, a_eq=a_eq, b_eq=b_eq, lo=lo, hi=hi,
-                                     maximize=True))
-    if INFEASIBLE in (out_min.status, out_max.status):
-        raise EmptySetError("set is empty")
-    if not (out_min.ok and out_max.ok):
-        raise NumericalError("support LP failed")
-    base = float(hs.h @ Z.c)
-    return base + out_min.value, base + out_max.value
+    return -_support(Z, -hs.h), _support(Z, hs.h)
 
 
 def conzono_halfspace_feasible(Z, hs):
     """Whether Z intersects the halfspace h @ x <= f (single LP feasibility)."""
     if hs.h.size != Z.n:
         raise ValueError("halfspace dimension mismatch")
-    if Z.n_g == 0:
-        return (np.abs(Z.b) <= TOL).all() and float(hs.h @ Z.c) <= hs.f + TOL
     a_ub = (hs.h @ Z.G).reshape(1, -1)
-    b_ub = np.array([hs.f - hs.h @ Z.c])
-    out = solve_lp(LinearProgram(np.zeros(Z.n_g), a_ub=a_ub, b_ub=b_ub,
-                                 a_eq=Z.A if Z.n_c else None,
-                                 b_eq=Z.b if Z.n_c else None,
-                                 lo=-np.ones(Z.n_g), hi=np.ones(Z.n_g)))
-    if out.status == OPTIMAL:
-        return True
-    if out.status == INFEASIBLE:
-        return False
-    raise NumericalError(f"halfspace feasibility LP failed: {out.status}")
+    return _coefficient_lp(Z, a_ub=a_ub, b_ub=[hs.f - hs.h @ Z.c]) is not None
 
 
 def _solved_ranges(a, rhs, lo, hi):
@@ -268,9 +250,9 @@ def conzono_in_halfspace(Z, hs, strategy="LP", passes=2):
     """Whether Z provably lies inside the halfspace h @ x <= f.
 
     A True answer always guarantees containment.  The LP strategy is
-    exact; ZH is exact only for plain zonotopes (it tests the parent
-    zonotope); IA is a sufficient certificate that may return False for
-    contained sets.
+    exact and solves one LP, the support max h @ x; ZH is exact only
+    for plain zonotopes (it tests the parent zonotope); IA is a
+    sufficient certificate that may return False for contained sets.
     """
     strategy = str(strategy).upper()
     if strategy not in STRATEGIES:
@@ -285,10 +267,9 @@ def conzono_in_halfspace(Z, hs, strategy="LP", passes=2):
 
     if strategy == "LP":
         try:
-            _, f_max = conzono_hyperplane_range(Z, hs)
+            return _support(Z, hs.h) <= hs.f + TOL
         except EmptySetError:
             return True  # the empty set is inside everything
-        return f_max <= hs.f + TOL
 
     # IA: Z inside H- iff Z cut with the complement H+ is empty.  For a
     # plain zonotope the window width of that cut decides exactly, so the
@@ -351,10 +332,7 @@ def hpolytope_to_conzono(P):
     for hs in P.halfspaces():
         # Support of the current intersection in the row direction; skip
         # halfspaces that do not strictly cut.
-        if out.n_c == 0:
-            reach = support(out, hs.h)
-        else:
-            _, reach = conzono_hyperplane_range(out, hs)
+        reach = support(out, hs.h) if out.n_c == 0 else _support(out, hs.h)
         if reach <= hs.f + TOL:
             continue
         out = _fold(out, hs)

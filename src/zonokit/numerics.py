@@ -82,13 +82,12 @@ class LpOutcome:
         return f"LpOutcome({self.status}, value={self.value})"
 
 
-def solve_lp(p, tol=None):
+def solve_lp(p):
     """Solve a :class:`LinearProgram` and classify the outcome.
 
     The returned solution of an optimal outcome is verified feasible to
     1e-6; a violation is reported as numerical-failure rather than
-    returned silently.  ``tol`` overrides the backend's feasibility
-    tolerances when given.
+    returned silently.
     """
     n = p.n_vars
     if n == 0:
@@ -99,10 +98,6 @@ def solve_lp(p, tol=None):
 
     c = -p.objective if p.maximize else p.objective
     bounds = list(zip(p.lo, p.hi))
-    options = {}
-    if tol is not None:
-        options["primal_feasibility_tolerance"] = tol
-        options["dual_feasibility_tolerance"] = tol
     try:
         res = linprog(
             c,
@@ -112,7 +107,6 @@ def solve_lp(p, tol=None):
             b_eq=p.b_eq if p.a_eq.size else None,
             bounds=bounds,
             method="highs",
-            options=options or None,
         )
     except Exception as exc:  # solver blew up outright
         raise NumericalError(f"LP backend raised: {exc}") from exc

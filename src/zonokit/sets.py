@@ -280,39 +280,45 @@ def support(Z, h):
     return float(h @ Z.c + np.abs(h @ Z.G).sum())
 
 
+def _coefficient_lp(Z, objective=None, maximize=False, a_ub=None, b_ub=None):
+    """Solve the LP over Z's coefficients {A xi = b, ||xi||_inf <= 1}.
+
+    Optimizes ``objective @ xi`` (feasibility only when None) subject
+    to the optional rows a_ub @ xi <= b_ub.  Returns an optimal xi, or
+    None when the program is infeasible; any other outcome raises
+    NumericalError.  With no generators the rows are constants, judged
+    at TOL.
+    """
+    if Z.n_g == 0:
+        feasible = (np.abs(Z.b) <= TOL).all() and (
+            b_ub is None or (np.asarray(b_ub) >= -TOL).all())
+        return np.zeros(0) if feasible else None
+    out = solve_lp(LinearProgram(
+        np.zeros(Z.n_g) if objective is None else objective,
+        a_ub=a_ub, b_ub=b_ub, a_eq=Z.A, b_eq=Z.b,
+        lo=-np.ones(Z.n_g), hi=np.ones(Z.n_g), maximize=maximize))
+    if out.status == OPTIMAL:
+        return out.x
+    if out.status == INFEASIBLE:
+        return None
+    raise NumericalError(f"coefficient LP failed: {out.status}")
+
+
 def contains_point(Z, x):
     """Membership x in Z, decided by LP feasibility of
     {G xi = x - c, A xi = b, ||xi||_inf <= 1}."""
     x = _vector(x, "x")
     if x.size != Z.n:
         raise ValueError("point dimension mismatch")
-    if Z.n_g == 0:
-        return (np.abs(Z.b) <= TOL).all() and np.abs(x - Z.c).max(initial=0.0) <= TOL
-    a_eq = np.vstack([Z.G, Z.A])
-    b_eq = np.concatenate([x - Z.c, Z.b])
-    out = solve_lp(LinearProgram(np.zeros(Z.n_g), a_eq=a_eq, b_eq=b_eq,
-                                 lo=-np.ones(Z.n_g), hi=np.ones(Z.n_g)))
-    if out.status == OPTIMAL:
-        return True
-    if out.status == INFEASIBLE:
-        return False
-    raise NumericalError(f"membership LP failed: {out.status}")
+    W = ConstrainedZonotope(Z.c, Z.G, np.vstack([Z.G, Z.A]),
+                            np.concatenate([x - Z.c, Z.b]))
+    return _coefficient_lp(W) is not None
 
 
 def is_empty(Z):
     """Emptiness of a constrained zonotope: LP feasibility of
     {A xi = b, ||xi||_inf <= 1}.  Zonotopes are never empty."""
-    if Z.n_c == 0:
-        return False
-    if Z.n_g == 0:
-        return not (np.abs(Z.b) <= TOL).all()
-    out = solve_lp(LinearProgram(np.zeros(Z.n_g), a_eq=Z.A, b_eq=Z.b,
-                                 lo=-np.ones(Z.n_g), hi=np.ones(Z.n_g)))
-    if out.status == OPTIMAL:
-        return False
-    if out.status == INFEASIBLE:
-        return True
-    raise NumericalError(f"emptiness LP failed: {out.status}")
+    return Z.n_c != 0 and _coefficient_lp(Z) is None
 
 
 def feasible_point(Z):
@@ -320,15 +326,7 @@ def feasible_point(Z):
 
     Raises EmptySetError when Z is empty.
     """
-    if Z.n_g == 0:
-        if Z.n_c and not (np.abs(Z.b) <= TOL).all():
-            raise EmptySetError("set is empty")
-        return Z.c.copy()
-    out = solve_lp(LinearProgram(np.zeros(Z.n_g), a_eq=Z.A if Z.n_c else None,
-                                 b_eq=Z.b if Z.n_c else None,
-                                 lo=-np.ones(Z.n_g), hi=np.ones(Z.n_g)))
-    if out.status == INFEASIBLE:
+    xi = _coefficient_lp(Z)
+    if xi is None:
         raise EmptySetError("set is empty")
-    if out.status != OPTIMAL:
-        raise NumericalError(f"feasibility LP failed: {out.status}")
-    return Z.c + Z.G @ out.x
+    return Z.c + Z.G @ xi

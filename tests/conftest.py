@@ -30,6 +30,12 @@ def make_conzono(rng, n, n_g, n_c, scale=1.0):
     return ConstrainedZonotope(c, G, A, A @ xi0)
 
 
+def make_no_generators(b):
+    """Set with n_g = 0 and n_c = 2 at c = (1, -2): the point c when
+    |b| <= TOL, else empty."""
+    return ConstrainedZonotope([1.0, -2.0], np.zeros((2, 0)), np.zeros((2, 0)), b)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)

@@ -21,9 +21,11 @@ from zonokit import (
     zonotope_hyperplane_intersects,
 )
 from zonokit.halfspaces import DIV_TOL, _solved_ranges, refine_certifies_empty
-from zonokit import oracle
+from zonokit.numerics import INFEASIBLE, LinearProgram, NumericalError, solve_lp
+from zonokit.sets import TOL
+from zonokit import halfspaces, oracle, sets
 
-from conftest import make_conzono, make_zonotope
+from conftest import make_conzono, make_no_generators, make_zonotope
 
 
 # Worked 2-D cut used across this file: a two-generator zonotope cut by
@@ -90,6 +92,19 @@ def test_hyperplane_range_empty_set():
 def test_halfspace_feasibility():
     assert conzono_halfspace_feasible(Z2, Halfspace([1.0, 0.0], 0.0))
     assert not conzono_halfspace_feasible(Z2, Halfspace([1.0, 0.0], -5.0))
+
+
+@pytest.mark.parametrize("b, empty", [((0.0, 0.0), False), ((1e-8, 0.0), True)])
+def test_zero_generator_cuts_judge_constant_rows_at_tol(b, empty):
+    Z = make_no_generators(b)
+    h = np.array([1.0, 1.0])  # h @ c = -1
+    assert conzono_halfspace_feasible(Z, Halfspace(h, -1.0 - 0.5 * TOL)) == (not empty)
+    assert not conzono_halfspace_feasible(Z, Halfspace(h, -1.0 - 1e-8))
+    if empty:
+        with pytest.raises(EmptySetError):
+            conzono_hyperplane_range(Z, Halfspace(h, 0.0))
+    else:
+        assert conzono_hyperplane_range(Z, Halfspace(h, 0.0)) == (-1.0, -1.0)
 
 
 class TestIntervalRefine:
@@ -266,6 +281,50 @@ class TestContainmentStrategies:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             conzono_in_halfspace(Z2, CUT, "QP")
+
+
+def _two_lp_verdict(Z, hs):
+    """Reference LP verdict: min and max of h @ G xi over the coefficient
+    box, empty (hence contained) when either program is infeasible."""
+    obj = hs.h @ Z.G
+    box = dict(a_eq=Z.A, b_eq=Z.b, lo=-np.ones(Z.n_g), hi=np.ones(Z.n_g))
+    out_min = solve_lp(LinearProgram(obj, **box))
+    out_max = solve_lp(LinearProgram(obj, maximize=True, **box))
+    if INFEASIBLE in (out_min.status, out_max.status):
+        return True
+    if not (out_min.ok and out_max.ok):
+        raise NumericalError("support LP failed")
+    return float(hs.h @ Z.c) + out_max.value <= hs.f + TOL
+
+
+def test_lp_strategy_solves_one_lp(monkeypatch):
+    solved = []
+    for module in (sets, halfspaces):
+        monkeypatch.setattr(module, "solve_lp",
+                            lambda p: solved.append(p) or solve_lp(p))
+    conzono_in_halfspace(make_conzono(np.random.default_rng(9), 2, 5, 2),
+                         CUT, "LP")
+    assert len(solved) == 1 and solved[0].maximize
+
+
+def test_lp_strategy_matches_the_two_lp_verdict():
+    rng = np.random.default_rng(10)
+    checked = {True: 0, False: 0}
+    for k in range(24):
+        Zc = make_conzono(rng, 2 + k % 2, 5, 2)
+        if k % 4 == 0:  # move b off the coefficient box's image: often empty
+            Zc = ConstrainedZonotope(Zc.c, Zc.G, Zc.A, 3.0 * rng.normal(size=2))
+        h = rng.normal(size=Zc.n)
+        fs = [float(rng.normal())]
+        if not is_empty(Zc):
+            f_min, f_max = conzono_hyperplane_range(Zc, Halfspace(h, 0.0))
+            fs += [f_max, f_min, f_max - 1e-6]  # tangent cuts and near misses
+        for f in fs:
+            hs = Halfspace(h, f)
+            verdict = conzono_in_halfspace(Zc, hs, "LP")
+            assert verdict == _two_lp_verdict(Zc, hs)
+            checked[verdict] += 1
+    assert min(checked.values()) >= 10
 
 
 def test_intersect_hpolytope_strategies_agree_on_the_set():

@@ -17,7 +17,7 @@ from zonokit import (
 from zonokit.sets import as_conzono, feasible_point
 from zonokit import oracle
 
-from conftest import make_conzono, make_zonotope
+from conftest import make_conzono, make_no_generators, make_zonotope
 
 
 def test_basic_properties():
@@ -134,6 +134,21 @@ def test_empty_detection_and_feasible_point():
     ok = ConstrainedZonotope([0.0], [[1.0]], [[1.0]], [0.5])
     assert not is_empty(ok)
     assert contains_point(ok, feasible_point(ok))
+
+
+@pytest.mark.parametrize("b, empty", [((0.0, 0.0), False), ((1e-8, 0.0), True)])
+def test_zero_generator_sets_judge_constant_rows_at_tol(b, empty):
+    Z = make_no_generators(b)
+    assert is_empty(Z) == empty
+    if empty:
+        with pytest.raises(EmptySetError):
+            feasible_point(Z)
+    else:
+        assert np.array_equal(feasible_point(Z), Z.c)
+    for d in (1e-10, -1e-10):
+        assert contains_point(Z, Z.c + d) == (not empty)
+    for d in (1e-8, -1e-8):
+        assert not contains_point(Z, Z.c + d)
 
 
 def test_as_conzono_passthrough_and_point_cast():
