@@ -11,7 +11,12 @@ import sys
 import numpy as np
 
 from . import numerics
-from .containment import inner_reduce_zonotope, inner_scale, make_template
+from .containment import (
+    TEMPLATE_KINDS,
+    inner_reduce_zonotope,
+    inner_scale,
+    make_template,
+)
 from .halfspaces import (
     _append_row,
     conzono_halfspace_intersection,
@@ -110,7 +115,7 @@ def build_parser():
     p.add_argument("set")
     p.add_argument("--order", type=int, default=None,
                    help="target generator count (plain zonotopes)")
-    p.add_argument("--template", choices=("drop_pair", "zonotope", "box"),
+    p.add_argument("--template", choices=TEMPLATE_KINDS,
                    default=None, help="template scaling (constrained sets)")
     p.add_argument("--norm", choices=("1", "2", "inf"), default="inf")
     p.add_argument("--contain", type=_vector, default=None,

@@ -20,7 +20,6 @@ from .numerics import (
     nullspace_basis,
     optimize_scaling,
     pinv_solve,
-    row_abs_coeff,
     solve_lp,
 )
 from .sets import (
@@ -130,7 +129,8 @@ def _zonotope_certificate(b, G_y, blocks, center, rhs, phi_budget=False):
                   p: -match, n: match}, np.zeros(match.shape[0]))
         else:
             b.eq({p: match, n: -match}, _vec(G))
-        budget[p] = budget[n] = row_abs_coeff((ngy, G.shape[1]))
+        budget[p] = budget[n] = lin_coeff((ngy, G.shape[1]),
+                                           right=np.ones((G.shape[1], 1)))
     b.eq({"bp": G_y, "bn": -G_y, **center}, rhs)
     b.le(budget, np.full(ngy, 0.0 if phi_budget else 1.0))
     return lambda x: ContainmentCertificate(

@@ -139,13 +139,12 @@ def _feasible(p, x, tol):
 def gauss_jordan_full_pivot(A, b, tol=1e-9):
     """Reduce [A | b] to reduced row-echelon form with full pivoting.
 
-    Row operations are accumulated so the reduction is reversible, and
-    column swaps are recorded as a permutation of the original columns.
-
-    Returns ``(R, d, info)`` with
-
-        R = info["row_transform"] @ A[:, info["col_perm"]]
-        d = info["row_transform"] @ b
+    Column swaps are recorded as a permutation of the original columns.
+    Returns ``(R, d, info)`` where [R | d] spans the same row space as
+    [A[:, info["col_perm"]] | b]: every row of either is a combination
+    of the rows of the other, so both systems have the same solutions.
+    The first ``rank`` rows of R hold an identity block in their first
+    ``rank`` columns.
 
     ``info`` also carries ``rank``, ``zero_rows`` (indices of reduced
     rows with no pivot -- rank deficiency), and ``inconsistent_rows``
@@ -160,50 +159,37 @@ def gauss_jordan_full_pivot(A, b, tol=1e-9):
     if b.size != m:
         raise ValueError("row count of A must equal the length of b")
 
-    T = np.eye(m)
+    M = np.column_stack([A, b])
     col_perm = np.arange(n)
-    scale = np.abs(A).max(initial=0.0)
-    thresh = tol * max(scale, 1e-300)
+    thresh = tol * max(np.abs(A).max(initial=0.0), 1e-300)
 
     rank = 0
     for k in range(min(m, n)):
-        sub = np.abs(A[k:, k:])
+        sub = np.abs(M[k:, k:n])
         i, j = np.unravel_index(np.argmax(sub), sub.shape)
         if sub[i, j] <= thresh:
             break
         pr, pc = k + i, k + j
-        if pr != k:
-            A[[k, pr]] = A[[pr, k]]
-            T[[k, pr]] = T[[pr, k]]
-            b[[k, pr]] = b[[pr, k]]
-        if pc != k:
-            A[:, [k, pc]] = A[:, [pc, k]]
-            col_perm[[k, pc]] = col_perm[[pc, k]]
-        piv = A[k, k]
-        A[k] /= piv
-        T[k] /= piv
-        b[k] /= piv
-        for r in range(m):
-            if r == k:
-                continue
-            f = A[r, k]
-            if f != 0.0:
-                A[r] -= f * A[k]
-                T[r] -= f * T[k]
-                b[r] -= f * b[k]
+        M[[k, pr]] = M[[pr, k]]
+        M[:, [k, pc]] = M[:, [pc, k]]
+        col_perm[[k, pc]] = col_perm[[pc, k]]
+        M[k] /= M[k, k]
+        # Rows zero in the pivot column are skipped: their signed zeros stay.
+        rows = np.setdiff1d(np.flatnonzero(M[:, k]), [k])
+        M[rows] -= np.outer(M[rows, k], M[k])
         rank += 1
 
+    R, d = M[:, :n], M[:, n]
     zero_rows = list(range(rank, m))
-    rhs_scale = max(np.abs(b).max(initial=0.0), 1.0)
-    inconsistent = [r for r in zero_rows if abs(b[r]) > tol * rhs_scale]
+    rhs_scale = max(np.abs(d).max(initial=0.0), 1.0)
+    inconsistent = [r for r in zero_rows if abs(d[r]) > tol * rhs_scale]
     info = {
         "rank": rank,
         "col_perm": col_perm,
-        "row_transform": T,
         "zero_rows": zero_rows,
         "inconsistent_rows": inconsistent,
     }
-    return A, b, info
+    return R, d, info
 
 
 def nullspace_basis(A):
@@ -450,13 +436,3 @@ def lin_coeff(shape, left=None, right=None):
     L = np.eye(r) if left is None else np.asarray(left, dtype=float)
     R = np.eye(c) if right is None else np.asarray(right, dtype=float)
     return np.kron(R.T, L)
-
-
-def row_abs_coeff(shape):
-    """Coefficient matrix S with S @ vec(X) = row sums of X (column-major vec).
-
-    Applied to both halves of a nonnegative split this yields the
-    row-wise absolute-value sums |X| 1.
-    """
-    r, c = shape
-    return np.kron(np.ones((1, c)), np.eye(r)).reshape(r, r * c)

@@ -79,7 +79,7 @@ def lift(Z):
     return Zonotope(np.concatenate([Z.c, -Z.b]), np.vstack([Z.G, Z.A]))
 
 
-def _unlift(Zlift, n, n_c):
+def _unlift(Zlift, n):
     c = Zlift.c[:n]
     b = -Zlift.c[n:]
     G = Zlift.G[:n]
@@ -98,7 +98,7 @@ def merge_parallel_lifted(Z, eps=EPS_PARALLEL):
     merged = merge_parallel_generators(lifted, eps)
     if merged is lifted:
         return Z
-    return _unlift(merged, Z.n, Z.n_c)
+    return _unlift(merged, Z.n)
 
 
 def eliminate_pair(Z, r, c):
@@ -136,38 +136,34 @@ def _canonical(Z):
     return _make(Z.c, Z.G[:, info["col_perm"]], R[:rank], d[:rank])
 
 
-def _redundant_pair(work, passes):
-    """A removable (constraint, generator) pair (r, c) of a canonical
-    system, or None; see :func:`remove_redundant_pair` for the test."""
-    if work.n_c == 0:
-        return None
-    A, bb, G = work.A, work.b, work.G
-    E, _ = interval_refine(work, iterations=passes)
+def _redundant_pair(work, E, passes):
+    """Eliminate one removable pair of a canonical system whose all-rows
+    refinement is E: (reduced set, its refinement), or None; see
+    :func:`remove_redundant_pair` for the test."""
     if E.any_empty:
         return None
+    A, bb = work.A, work.b
 
-    def unit_cols(r, E):
+    def unit_cols(r, lo, hi):
         """Columns c of row r whose solved range R_rc lies in [-1, 1]."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            lo, hi = _solved_ranges(A[r], bb[r], E.lo, E.hi)
+            lo, hi = _solved_ranges(A[r], bb[r], lo, hi)
         return np.flatnonzero((np.abs(A[r]) > DIV_TOL)
                               & (lo >= -1.0 - CONTAIN_TOL)
                               & (hi <= 1.0 + CONTAIN_TOL))
 
-    candidates = []  # (|a_rc|, r, c) passing the cheap necessary test
-    for r in range(A.shape[0]):
-        candidates += [(abs(A[r, cc]), r, cc) for cc in unit_cols(r, E)]
-    for _, r, cc in sorted(candidates, reverse=True):
-        a = A[r, cc]
-        others = [i for i in range(A.shape[0]) if i != r]
-        A_sub = A[others] - np.outer(A[others, cc] / a, A[r])
-        b_sub = bb[others] - A[others, cc] * (bb[r] / a)
-        E_sub, _ = interval_refine(_make(work.c, G, A_sub, b_sub),
-                                   iterations=passes)
-        if E_sub.any_empty:
+    # (|a_rc|, r, c) passing the cheap necessary test, largest first
+    candidates = sorted(((abs(A[r, c]), r, c) for r in range(work.n_c)
+                         for c in unit_cols(r, E.lo, E.hi)), reverse=True)
+    for _, r, c in candidates:
+        out = eliminate_pair(work, r, c)
+        E_out, _ = interval_refine(out, iterations=passes)
+        if E_out.any_empty:
             continue
-        if cc in unit_cols(r, E_sub):
-            return r, cc
+        # Column c is gone from out; put it back unrefined.
+        if c in unit_cols(r, np.insert(E_out.lo, c, -1.0),
+                          np.insert(E_out.hi, c, 1.0)):
+            return out, E_out
     return None
 
 
@@ -185,11 +181,10 @@ def remove_redundant_pair(Z, passes=2):
     has to stay in [-1, 1] for everything the *remaining* system allows.
     So the all-rows refinement (a necessary condition, since tighter
     domains only shrink R_rc) prunes the grid cheaply, and each survivor
-    is verified with E refined on the substituted system -- the other
-    rows with column c's solved expression folded in, exactly the
-    constraints the reduced set will carry.  Among verified pairs the
-    largest |a_rc| wins (numerical stability; set equality holds either
-    way).
+    is verified on the set eliminate_pair returns for it (the other rows
+    with column c's solved expression folded in), refined with xi_c back
+    at [-1, 1].  Among verified pairs the largest |a_rc| wins (numerical
+    stability; set equality holds either way).
 
     Returns (Z', removed).  When nothing qualifies the input object is
     returned unchanged, unless canonicalization dropped all-zero rows.
@@ -197,22 +192,25 @@ def remove_redundant_pair(Z, passes=2):
     work = _canonical(Z)
     if work is None:
         return Z, False
-    pair = _redundant_pair(work, passes)
-    if pair is not None:
-        return eliminate_pair(work, *pair), True
+    E, _ = interval_refine(work, iterations=passes)
+    if (step := _redundant_pair(work, E, passes)) is not None:
+        return step[0], True
     return (Z if work.n_c == Z.n_c else work), False
 
 
 def _strip_pairs(Z, passes=2):
     """Eliminate redundant pairs from one canonical form until none is
-    left; the input object comes back when nothing changed.  Row r is
-    zero in every other row's pivot column, so eliminate_pair keeps
-    those columns exactly unit: no second Gauss-Jordan pass is needed."""
+    left; the input object comes back when nothing changed.  Each
+    candidate is verified on the set eliminate_pair returns, whose
+    refinement opens the next search.  Row r is zero in every other
+    row's pivot column, so eliminate_pair keeps those columns exactly
+    unit: no second Gauss-Jordan pass is needed."""
     work = _canonical(Z)
     if work is None:
         return Z
-    while (pair := _redundant_pair(work, passes)) is not None:
-        work = eliminate_pair(work, *pair)
+    E, _ = interval_refine(work, iterations=passes)
+    while (step := _redundant_pair(work, E, passes)) is not None:
+        work, E = step
     return Z if work.n_c == Z.n_c else work
 
 

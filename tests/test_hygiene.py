@@ -12,10 +12,14 @@ MODULES = sorted(f for f in os.listdir(PACKAGE)
                  if f.endswith(".py") and f != "__init__.py")
 
 
+def _parse(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
-    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _parse(module)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -26,3 +30,34 @@ def test_every_import_is_used(module):
     unused = sorted((line, name) for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def _params(fn):
+    a = fn.args
+    return [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+            + [a.vararg, a.kwarg] if p is not None]
+
+
+def _calls_bare_super(fn):
+    return any(isinstance(node, ast.Call) and not node.args
+               and isinstance(node.func, ast.Name) and node.func.id == "super"
+               for node in ast.walk(fn))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_parameter_is_read(module):
+    unread = []
+    for fn in ast.walk(_parse(module)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        params = _params(fn)
+        if params and _calls_bare_super(fn):
+            read.add(params[0])  # zero-argument super() reads self
+        unread += [(fn.lineno, getattr(fn, "name", "<lambda>"), p)
+                   for p in params if p not in read]
+    assert not unread, f"{module} has parameters it never reads: {unread}"

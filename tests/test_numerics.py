@@ -51,19 +51,100 @@ class TestSolveLp:
         assert out.status == OPTIMAL and out.value == 0.0
 
 
+def _gauss_jordan_per_row(A, b, tol=1e-9):
+    """Reference: full-pivot Gauss-Jordan updating one row at a time,
+    with the same pivot choice and the same skip of rows that are
+    already zero in the pivot column."""
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float).reshape(-1)
+    m, n = A.shape
+    col_perm = np.arange(n)
+    thresh = tol * max(np.abs(A).max(initial=0.0), 1e-300)
+    rank = 0
+    for k in range(min(m, n)):
+        sub = np.abs(A[k:, k:])
+        i, j = np.unravel_index(np.argmax(sub), sub.shape)
+        if sub[i, j] <= thresh:
+            break
+        pr, pc = k + i, k + j
+        if pr != k:
+            A[[k, pr]] = A[[pr, k]]
+            b[[k, pr]] = b[[pr, k]]
+        if pc != k:
+            A[:, [k, pc]] = A[:, [pc, k]]
+            col_perm[[k, pc]] = col_perm[[pc, k]]
+        piv = A[k, k]
+        A[k] /= piv
+        b[k] /= piv
+        for r in range(m):
+            f = A[r, k]
+            if r != k and f != 0.0:
+                A[r] -= f * A[k]
+                b[r] -= f * b[k]
+        rank += 1
+    zero_rows = list(range(rank, m))
+    rhs_scale = max(np.abs(b).max(initial=0.0), 1.0)
+    inconsistent = [r for r in zero_rows if abs(b[r]) > tol * rhs_scale]
+    return A, b, {"rank": rank, "col_perm": col_perm, "zero_rows": zero_rows,
+                  "inconsistent_rows": inconsistent}
+
+
+def _gauss_jordan_inputs(rng, count):
+    """Random [A | b] systems, m = 0 to 8 rows: dense, integer, sparse
+    and rank-deficient A; every other b consistent with A."""
+    for t in range(count):
+        m, n = int(rng.integers(0, 9)), int(rng.integers(1, 9))
+        kind = t % 4
+        if kind == 0:
+            A = rng.normal(size=(m, n))
+        elif kind == 1:
+            A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        elif kind == 2:
+            A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.4)
+        else:
+            k = int(rng.integers(0, min(m, n) + 1))
+            A = (rng.integers(-2, 3, size=(m, k))
+                 @ rng.integers(-2, 3, size=(k, n))).astype(float)
+        b = A @ rng.normal(size=n) if t % 2 else rng.normal(size=m)
+        yield A, b
+
+
+def _spans(X, Y):
+    """Largest residual of fitting every row of Y by the rows of X."""
+    if Y.shape[0] == 0:
+        return 0.0
+    coef = np.linalg.lstsq(X.T, Y.T, rcond=None)[0]
+    return np.abs(X.T @ coef - Y.T).max()
+
+
 def test_gauss_jordan_reconstruction():
     rng = np.random.default_rng(0)
-    for _ in range(30):
-        m, n = rng.integers(1, 5), rng.integers(1, 7)
-        A = rng.normal(size=(m, n))
-        b = rng.normal(size=m)
+    for A, b in _gauss_jordan_inputs(rng, 200):
         R, d, info = gauss_jordan_full_pivot(A, b)
-        assert np.allclose(R, info["row_transform"] @ A[:, info["col_perm"]])
-        assert np.allclose(d, info["row_transform"] @ b)
+        # [R | d] and the column-permuted [A | b] span the same rows
+        before = np.column_stack([A[:, info["col_perm"]], b])
+        after = np.column_stack([R, d])
+        assert _spans(after, before) <= 1e-9
+        assert _spans(before, after) <= 1e-9
         assert info["rank"] == np.linalg.matrix_rank(A, tol=1e-9)
         # pivot block of the reduced matrix is the identity
         r = info["rank"]
         assert np.allclose(R[:r, :r], np.eye(r), atol=1e-9)
+
+
+def test_gauss_jordan_matches_the_per_row_loop():
+    rng = np.random.default_rng(1)
+    for A, b in _gauss_jordan_inputs(rng, 400):
+        R, d, info = gauss_jordan_full_pivot(A, b)
+        R0, d0, info0 = _gauss_jordan_per_row(A, b)
+        for got, want in ((R, R0), (d, d0)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert info.keys() == info0.keys()
+        assert np.array_equal(info["col_perm"], info0["col_perm"])
+        for key in ("rank", "zero_rows", "inconsistent_rows"):
+            assert info[key] == info0[key]
 
 
 def test_gauss_jordan_flags_inconsistency():

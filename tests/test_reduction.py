@@ -16,8 +16,10 @@ from zonokit import (
     support,
 )
 from zonokit import reduction
+from zonokit.halfspaces import DIV_TOL, _solved_ranges, interval_refine
 from zonokit.reach import wayset, wayset_reduce
 from zonokit.reduction import (
+    CONTAIN_TOL,
     EPS_PARALLEL,
     _canonical,
     eliminate_pair,
@@ -305,6 +307,142 @@ def test_one_gauss_jordan_per_reduction(monkeypatch):
         constrained.clear()
         reduce_fully(Z)
         assert len(gj) == sum(constrained) >= 1
+
+
+def _substituted_pair(work, tally, passes=2):
+    """Reference pair search: each candidate (r, c) is verified on a
+    substituted system built apart from eliminate_pair -- the other rows
+    with column c's solved expression folded in, column c kept.  Returns
+    (r, c) or None; tally counts verifications and rejections."""
+    if work.n_c == 0:
+        return None
+    A, bb = work.A, work.b
+    E, _ = interval_refine(work, iterations=passes)
+    if E.any_empty:
+        return None
+
+    def unit_cols(r, E):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo, hi = _solved_ranges(A[r], bb[r], E.lo, E.hi)
+        return np.flatnonzero((np.abs(A[r]) > DIV_TOL)
+                              & (lo >= -1.0 - CONTAIN_TOL)
+                              & (hi <= 1.0 + CONTAIN_TOL))
+
+    candidates = []
+    for r in range(A.shape[0]):
+        candidates += [(abs(A[r, c]), r, c) for c in unit_cols(r, E)]
+    for _, r, c in sorted(candidates, reverse=True):
+        a = A[r, c]
+        others = [i for i in range(A.shape[0]) if i != r]
+        A_sub = A[others] - np.outer(A[others, c] / a, A[r])
+        b_sub = bb[others] - A[others, c] * (bb[r] / a)
+        E_sub, _ = interval_refine(
+            ConstrainedZonotope(work.c, work.G, A_sub, b_sub),
+            iterations=passes)
+        tally["verified"] += 1
+        if not E_sub.any_empty and c in unit_cols(r, E_sub):
+            return r, c
+        tally["rejected"] += 1
+    return None
+
+
+def _strip_pairs_substituted(Z, tally):
+    work = _canonical(Z)
+    if work is None:
+        return Z
+    while (pair := _substituted_pair(work, tally)) is not None:
+        work = eliminate_pair(work, *pair)
+    return Z if work.n_c == Z.n_c else work
+
+
+def _remove_redundant_pair_substituted(Z, tally):
+    work = _canonical(Z)
+    if work is None:
+        return Z, False
+    if (pair := _substituted_pair(work, tally)) is not None:
+        return eliminate_pair(work, *pair), True
+    return (Z if work.n_c == Z.n_c else work), False
+
+
+def _reduce_fully_substituted(Z, tally):
+    while True:
+        reduced = _strip_pairs_substituted(
+            merge_parallel_lifted(Z, EPS_PARALLEL), tally)
+        if reduced is Z:
+            return Z
+        Z = reduced
+
+
+def _verification_corpus(rng, count):
+    """Random 2-D and 3-D constrained sets, every third one a convex
+    hull and every other one cut by a box.  The plain and box-cut sets
+    give pair candidates that verification rejects; hulls rarely do."""
+    sets = []
+    for i in range(count):
+        n = 2 + i % 2
+        Z = make_conzono(rng, n, int(rng.integers(3, 8)),
+                         int(rng.integers(1, 4)))
+        if i % 3 == 0:
+            Z = convex_hull(Z, make_conzono(rng, n, int(rng.integers(2, 5)),
+                                            int(rng.integers(1, 3))))
+        if i % 2 == 0:
+            lo, hi = Z.parent_zonotope().interval_hull()
+            Z = generalized_intersection(
+                Z, Zonotope.box(lo + 0.3 * (hi - lo), hi))
+        sets.append(Z)
+    return sets
+
+
+def _identical(X, Y):
+    """Same object status aside, equal arrays and equal signs of zeros."""
+    return type(X) is type(Y) and all(
+        np.array_equal(getattr(X, k), getattr(Y, k))
+        and np.array_equal(np.signbit(getattr(X, k)), np.signbit(getattr(Y, k)))
+        for k in "cGAb")
+
+
+def test_reductions_match_the_substituted_system_reference():
+    tally = {"verified": 0, "rejected": 0}
+    corpus = _verification_corpus(np.random.default_rng(3), 40)
+    for Z in corpus + [generalized_intersection(DIAMOND, SQUARE)]:
+        want = _strip_pairs_substituted(Z, tally)
+        got = wayset_reduce(Z)
+        assert (got is Z) == (want is Z) and _identical(got, want)
+        want, want_removed = _remove_redundant_pair_substituted(Z, tally)
+        got, removed = remove_redundant_pair(Z)
+        assert removed == want_removed and (got is Z) == (want is Z)
+        assert _identical(got, want)
+        want = _reduce_fully_substituted(Z, tally)
+        got = reduce_fully(Z)
+        assert (got is Z) == (want is Z) and _identical(got, want)
+    # the corpus exercises both outcomes of a verification
+    assert tally["rejected"] >= 10
+    assert tally["verified"] - tally["rejected"] >= 10
+
+
+def test_one_refinement_per_elimination(monkeypatch):
+    calls = {"refine": 0, "eliminate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(reduction, "interval_refine",
+                        counted("refine", reduction.interval_refine))
+    monkeypatch.setattr(reduction, "eliminate_pair",
+                        counted("eliminate", reduction.eliminate_pair))
+    sets = [generalized_intersection(DIAMOND, SQUARE)]
+    sets += _verification_corpus(np.random.default_rng(4), 12)
+    eliminated = 0
+    for Z in sets:
+        for k in calls:
+            calls[k] = 0
+        wayset_reduce(Z)
+        assert calls["refine"] == calls["eliminate"] + 1
+        eliminated += calls["eliminate"]
+    assert eliminated >= len(sets)
 
 
 @pytest.fixture(scope="module")
