@@ -33,7 +33,6 @@ from .sets import (
     EmptySetError,
     Halfspace,
     HPolytope,
-    Zonotope,
     generalized_intersection,
     linear_map,
     minkowski_sum,
@@ -211,7 +210,7 @@ def _run(args):
         if (args.order is None) == (args.template is None):
             raise ValueError("pass exactly one of --order / --template")
         if args.order is not None:
-            if not isinstance(Z, Zonotope):
+            if Z.n_c:
                 raise ValueError("--order applies to plain zonotopes")
             write_set(out, inner_reduce_zonotope(Z, args.order))
         else:

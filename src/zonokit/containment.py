@@ -8,6 +8,7 @@ constrained zonotope to build reduced-order inner approximations.
 """
 
 import numpy as np
+import scipy.linalg
 
 from .halfspaces import interval_refine
 from .reduction import _canonical, eliminate_pair
@@ -17,9 +18,7 @@ from .numerics import (
     LpBuilder,
     NumericalError,
     lin_coeff,
-    nullspace_basis,
     optimize_scaling,
-    pinv_solve,
     solve_lp,
 )
 from .sets import (
@@ -52,12 +51,17 @@ def _scaled_columns(G, T):
 def _coefficient_polytope(A, b):
     """Parametrize {xi : A xi = b, |xi| <= 1} as xi = s + T xi', H xi' <= f.
 
-    s is the least-norm solution, T a null-space basis (A must have full
-    row rank), H = [T; -T] and f = [1 - s; 1 + s]; ``live`` marks the
-    nonzero rows of H.  Returns ``(s, T, H, f, live)``.
+    s is the least-norm least-squares solution (so A s = b whenever the
+    constraints are consistent, whatever A's rank), T an orthonormal
+    null-space basis with cols(A) - rank(A) columns, H = [T; -T] and
+    f = [1 - s; 1 + s]; ``live`` marks the nonzero rows of H.  Returns
+    ``(s, T, H, f, live)``.
     """
-    s = pinv_solve(A, b)
-    T = nullspace_basis(A)
+    if A.shape[0] == 0:
+        s, T = np.zeros(A.shape[1]), np.eye(A.shape[1])
+    else:
+        s = np.linalg.lstsq(A, b, rcond=None)[0]
+        T = scipy.linalg.null_space(A)
     H = np.vstack([T, -T])
     f = np.concatenate([1.0 - s, 1.0 + s])
     return s, T, H, f, np.abs(H).max(axis=1, initial=0.0) > 1e-12
@@ -262,7 +266,8 @@ def inner_reduce_zonotope(Z, n_r, return_map=False):
     Z = _plain_zonotope(Z, "Z")
     n_r = int(n_r)
     if not 1 <= n_r < Z.n_g:
-        raise ValueError(f"n_r must be in [1, {Z.n_g - 1}], got {n_r}")
+        raise ValueError(f"n_r must be in [1, n_g - 1] for Z's n_g = "
+                         f"{Z.n_g} generators, got {n_r}")
 
     order = np.argsort(-np.linalg.norm(Z.G, axis=0), kind="stable")
     Gs = Z.G[:, order]
@@ -287,10 +292,8 @@ def conzono_to_ah(Z):
     xi = s + T xi' with s the least-norm particular solution and T a
     null-space basis; the box bounds |xi| <= 1 become the H-polytope
     [T; -T] xi' <= [1 - s; 1 + s] (rows where T vanishes are vacuous for
-    a nonempty set and are dropped).
-
-    A must have full row rank -- canonicalize with reduce_fully or
-    reduction._canonical first -- and empty sets are rejected.
+    a nonempty set and are dropped).  A may have any rank; empty sets
+    are rejected.
     """
     Z = as_conzono(Z)
     if is_empty(Z):

@@ -9,6 +9,9 @@ construction that picks per-generator scales on the reach template so
 that invariance holds by a containment certificate.
 """
 
+import itertools
+import math
+
 import numpy as np
 
 from .containment import ScalingResult, _zonotope_certificate
@@ -30,18 +33,21 @@ from .sets import (
 # Stability margin: spectral radius must clear 1 by at least this.
 STABILITY_TOL = 1e-9
 
+# Cap on the (n-1)-subsets of W's generators that facet enumeration
+# visits; each gives two rows of the support-ratio test.
+FACET_BUDGET = 10_000
+
 
 class AutonomousSystem:
     """Autonomous linear dynamics x+ = A x + w, w in W.
 
     A must be strictly stable (spectral radius below 1 - 1e-9) and W, a
-    zonotope, must contain the origin.  ``W_h`` optionally supplies W's
-    exact H-Rep for the support-ratio tests; without it one is derived
-    for axis-aligned W in any dimension, or by facet enumeration for
-    n <= 3.
+    zonotope, must contain the origin.  :func:`mrpi_iterative` also
+    needs W's facets, which exist when W is full-dimensional or its
+    generators are axis-aligned (see :func:`_w_hrep`).
     """
 
-    def __init__(self, A, W, W_h=None):
+    def __init__(self, A, W):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.W = _plain_zonotope(W, "W")
         n = self.W.n
@@ -54,12 +60,6 @@ class AutonomousSystem:
             raise ValueError(f"A must be strictly stable; spectral radius {rho:.6g}")
         if not contains_point(self.W, np.zeros(n)):
             raise ValueError("W must contain the origin")
-        if W_h is not None:
-            if not isinstance(W_h, HPolytope):
-                raise TypeError("W_h must be an HPolytope")
-            if W_h.n != n:
-                raise ValueError("W_h dimension differs from W")
-        self.W_h = W_h
         self.spectral_radius = rho
 
     @property
@@ -91,22 +91,51 @@ def f_s(sys, s):
     return Zonotope(center, np.hstack(blocks))
 
 
-def _w_hrep(sys):
-    """H-Rep of W for the support-ratio test."""
-    if sys.W_h is not None:
-        return sys.W_h
-    W = sys.W
+def _w_hrep(W):
+    """H-Rep of the zonotope W for the support-ratio test.
+
+    Axis-aligned generators make W the box c +- sum|G|, flat or not.
+    Otherwise W must be full-dimensional, and every facet is spanned by
+    n-1 of its generators, so each (n-1)-subset gives a candidate
+    normal: its cofactor vector, entry k being (-1)^k det of the subset
+    with row k deleted (Althoff, Stursberg and Buss, Nonlinear Analysis:
+    Hybrid Systems, 2010).  Zero normals (dependent subsets) are
+    dropped; both signs of the others are kept, unit length, with
+    offsets h @ c + sum_i |h @ g_i|.  Repeated rows are harmless to the
+    max the ratio takes.  More than ``FACET_BUDGET`` subsets raise
+    ValueError.
+    """
     if (np.count_nonzero(W.G, axis=0) <= 1).all():
-        # Axis-aligned generators: W is the box c +- sum|G|.
         lo, hi = W.interval_hull()
         eye = np.eye(W.n)
         return HPolytope(np.vstack([eye, -eye]), np.concatenate([hi, -lo]))
-    if W.n <= 3:
-        from .oracle import zonotope_facets
-        return zonotope_facets(W)
-    raise ValueError(
-        "facet enumeration of a non-axis-aligned W is only built in for "
-        "n <= 3; pass W_h explicitly")
+    n, n_g = W.n, W.n_g
+    if np.linalg.matrix_rank(W.G) < n:
+        raise ValueError("W must be full-dimensional unless its generators "
+                         "are axis-aligned")
+    if math.comb(n_g, n - 1) > FACET_BUDGET:
+        raise ValueError(f"facet enumeration of W visits C({n_g}, {n - 1}) "
+                         f"generator subsets, over FACET_BUDGET = {FACET_BUDGET}")
+    subsets = W.G[:, list(itertools.combinations(range(n_g), n - 1))]
+    S = subsets.transpose(1, 0, 2)
+    H = np.stack([(-1) ** k * _det(np.delete(S, k, axis=1))
+                  for k in range(n)], axis=1)
+    norms = np.array([np.linalg.norm(h) for h in H])
+    keep = norms > 1e-12
+    H = H[keep] / norms[keep, None]
+    H = np.vstack([H, -H])
+    return HPolytope(H, H @ W.c + np.abs(H @ W.G).sum(axis=1))
+
+
+def _det(M):
+    """Determinants of stacked square matrices, in closed form up to
+    2 x 2: np.linalg.det reads its LU factors through exp(log|x|), which
+    rounds even a 1 x 1 determinant."""
+    if M.shape[-1] == 1:
+        return M[:, 0, 0]
+    if M.shape[-1] == 2:
+        return M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    return np.linalg.det(M)
 
 
 def _support_ratio(Z, P):
@@ -128,15 +157,17 @@ def mrpi_iterative(sys, eps, s_max=10000):
     Grows the number of Minkowski terms s of F_s = ⊕_{i=0}^{s-1} A^i W
     until alpha / (1 - alpha) * M(s) <= eps, where alpha is the support
     ratio certifying A^s W ⊆ alpha W (evaluated algebraically on W's
-    facet rows) and M(s) bounds F_s by a box: the max over the 2n
-    coordinate directions of the partial support sums.  Returns
-    (F, alpha, s) with F = (1 - alpha)^{-1} F_s, which is RPI and
-    within eps of the true minimal RPI set.
+    facet rows from :func:`_w_hrep`, in any dimension) and M(s) bounds
+    F_s by a box: the max over the 2n coordinate directions of the
+    partial support sums.  Returns (F, alpha, s) with
+    F = (1 - alpha)^{-1} F_s, which is RPI and within eps of the true
+    minimal RPI set.  A W that is flat but not an axis-aligned box has
+    no facet H-Rep and raises ValueError.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     W, A = sys.W, sys.A
-    Wh = _w_hrep(sys)
+    Wh = _w_hrep(W)
     n = sys.n
 
     eye = np.eye(n)
@@ -212,7 +243,7 @@ def onestep_decision_vars(n_g, n_w, n):
     return n_g * n_g + n_g * (n_w + 2) + n
 
 
-def lqr_closed_loop(A, B, Q, R, W, W_h=None, tol=1e-12, max_iter=200000):
+def lqr_closed_loop(A, B, Q, R, W, tol=1e-12, max_iter=200000):
     """Discrete LQR closed loop A + B K, packaged as an AutonomousSystem.
 
     Iterates the Riccati recursion to a fixed point (max-norm change
@@ -252,4 +283,4 @@ def lqr_closed_loop(A, B, Q, R, W, W_h=None, tol=1e-12, max_iter=200000):
 
     BtP = B.T @ P
     K = -np.linalg.solve(R + BtP @ B, BtP @ A)
-    return AutonomousSystem(A + B @ K, W, W_h)
+    return AutonomousSystem(A + B @ K, W)

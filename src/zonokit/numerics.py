@@ -3,12 +3,10 @@
 Every optimization-backed operation in the package funnels through
 :func:`solve_lp`, so the solver backend (scipy's HiGHS) is swappable in
 exactly one place.  The module also provides Gauss-Jordan elimination
-with full pivoting, a null-space basis, and a pseudoinverse solve --
-the three dense kernels the set algebra needs.
+with full pivoting, the dense kernel that canonicalizes constraints.
 """
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import linprog
 
 
@@ -190,40 +188,6 @@ def gauss_jordan_full_pivot(A, b, tol=1e-9):
         "inconsistent_rows": inconsistent,
     }
     return R, d, info
-
-
-def nullspace_basis(A):
-    """Orthonormal basis for the null space of a full-row-rank A.
-
-    Columns of the returned T satisfy A @ T = 0 (to 1e-9) and number
-    exactly cols(A) - rows(A).  Rank-deficient input is rejected; run
-    :func:`gauss_jordan_full_pivot` first and drop the zero rows.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("A must be a matrix")
-    m, n = A.shape
-    if m == 0:
-        return np.eye(n)
-    T = scipy.linalg.null_space(A)
-    if T.shape[1] != n - m:
-        raise ValueError(
-            f"A is rank deficient ({n - T.shape[1]} of {m} rows independent); "
-            "preprocess with gauss_jordan_full_pivot"
-        )
-    return T
-
-
-def pinv_solve(A, b):
-    """Minimum-norm least-squares solution of A @ s = b (s = pinv(A) b)."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if A.ndim != 2:
-        raise ValueError("A must be a matrix")
-    if A.shape[0] == 0:
-        return np.zeros(A.shape[1])
-    s, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return s
 
 
 ### LP assembly over named variable blocks ##################################

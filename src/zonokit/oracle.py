@@ -266,47 +266,6 @@ def polygon_area(vertices):
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def zonotope_facets(Z):
-    """Exact H-Rep of a full-dimensional zonotope with n <= 3.
-
-    Every facet of a zonotope is itself a zonotope spanned by the
-    generators parallel to it, so the outward normals are the
-    perpendiculars of single generators (n = 2) or cross products of
-    generator pairs (n = 3); offsets follow from the support formula
-    h @ c + sum |h @ g_i|.  Both signs of every normal are emitted and
-    duplicates merged.  Flat sets are rejected: a slab H-Rep would
-    strictly contain them.
-    """
-    Z = as_conzono(Z)
-    if Z.n_c != 0:
-        raise ValueError("facet enumeration applies to unconstrained zonotopes")
-    n, G = Z.n, Z.G
-    if np.linalg.matrix_rank(G) < n:
-        raise ValueError("facet enumeration needs a full-dimensional zonotope")
-    if n == 1:
-        normals = [np.array([1.0])]
-    elif n == 2:
-        normals = [np.array([-g[1], g[0]]) for g in G.T]
-    elif n == 3:
-        normals = [np.cross(gi, gj)
-                   for gi, gj in itertools.combinations(G.T, 2)]
-    else:
-        raise ValueError("facet enumeration supports n <= 3 only")
-    kept = []
-    for h in normals:
-        norm = np.linalg.norm(h)
-        if norm <= 1e-12:
-            continue
-        h = h / norm
-        if any(abs(h @ k) > 1.0 - 1e-12 for k in kept):
-            continue
-        kept.append(h)
-    H = np.vstack([np.array(kept), -np.array(kept)])
-    f = H @ Z.c + np.abs(H @ G).sum(axis=1)
-    from .sets import HPolytope
-    return HPolytope(H, f)
-
-
 def zonotope_volume_exact(Z):
     """Exact volume of an unconstrained zonotope: 2^n * sum of |det|
     over all n-subsets of generators.  Combinatorial -- desk scale only.

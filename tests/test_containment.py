@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from zonokit import (
     Zonotope,
     ah_contains,
     conzono_to_ah,
+    generalized_intersection,
     inner_reduce_zonotope,
     inner_scale,
     make_template,
@@ -58,6 +61,10 @@ class TestInnerReduceZonotope:
             inner_reduce_zonotope(ZFIVE, 5)
         with pytest.raises(ValueError):
             inner_reduce_zonotope(ZFIVE, 0)
+        for G in (np.zeros((2, 0)), [[1.0], [0.5]]):
+            Z = Zonotope([0.0, 0.0], G)
+            with pytest.raises(ValueError, match=f"n_g = {Z.n_g} generators"):
+                inner_reduce_zonotope(Z, 1)
 
 
 class TestZonotopeContains:
@@ -92,6 +99,27 @@ class TestAhContainment:
         big = ConstrainedZonotope(
             ZC.c, 3.0 * np.asarray(ZC.G), ZC.A, 3.0 * np.asarray(ZC.b))
         assert ah_contains(conzono_to_ah(big), conzono_to_ah(ZC)) is None
+
+
+# Consistent constraints of rank 1 in two rows.
+RANK_DEFICIENT = ConstrainedZonotope(
+    [0.0, 0.0], [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]],
+    [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], [0.5, 1.0])
+
+
+@pytest.mark.parametrize("Z", [
+    RANK_DEFICIENT,
+    generalized_intersection(RANK_DEFICIENT, RANK_DEFICIENT),
+], ids=["rank1", "self_intersection"])
+def test_rank_deficient_constraints_are_accepted(Z):
+    assert np.linalg.matrix_rank(Z.A) < Z.n_c
+    scaled, result = inner_scale(Z, make_template(Z, "box"))
+    X, Y = conzono_to_ah(scaled), conzono_to_ah(Z)
+    assert ah_containment_residual(X, Y, result.certificate) < 1e-6
+    assert result.phi.min() > 0.1
+    for signs in itertools.product((-1.0, 1.0), repeat=Z.n):
+        corner = scaled.c + scaled.G @ np.array(signs)
+        assert oracle.membership(Z, corner, tol=1e-7)
 
 
 class TestInnerScale:

@@ -32,6 +32,30 @@ def test_every_import_is_used(module):
     assert not unused, f"{module} imports names it never uses: {unused}"
 
 
+# The oracle checks the library, so the library must not run its code.
+# The CLI's volume and project subcommands are oracle front-ends.
+ORACLE_USERS = ("oracle.py", "cli.py")
+
+
+def _imports_oracle(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name == "zonokit.oracle" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        if node.module in ("oracle", "zonokit.oracle"):
+            return True
+        return node.module in (None, "zonokit") and any(
+            alias.name == "oracle" for alias in node.names)
+    return False
+
+
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if m not in ORACLE_USERS])
+def test_library_does_not_import_the_oracle(module):
+    lines = [node.lineno for node in ast.walk(_parse(module))
+             if _imports_oracle(node)]
+    assert not lines, f"{module} imports the oracle at lines {lines}"
+
+
 def _params(fn):
     a = fn.args
     return [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs

@@ -14,9 +14,12 @@ from zonokit import (
     zonotope_contains,
 )
 from zonokit.containment import zonotope_containment_residual
-from zonokit.invariance import onestep_decision_vars
+from zonokit import invariance
+from zonokit.invariance import _w_hrep, onestep_decision_vars
 from zonokit.numerics import NumericalError
 from zonokit import oracle
+
+from conftest import make_conzono, make_zonotope
 
 
 W = Zonotope([0.0, 0.0], 0.1 * np.eye(2))
@@ -62,8 +65,6 @@ class TestSystemValidation:
     def test_shape_and_type_checks(self):
         with pytest.raises(ValueError):
             AutonomousSystem(np.zeros((3, 3)), W)
-        with pytest.raises(TypeError):
-            AutonomousSystem(0.5 * np.eye(2), W, W_h=np.eye(2))
 
 
 class TestDisturbanceReach:
@@ -103,9 +104,50 @@ class TestMrpiIterative:
         assert alpha < 1.0
         assert invariant_by_supports(sys, F, oracle.directions(2, seed=3)[:30])
 
+    def test_four_dimensional_disturbance(self):
+        rng = np.random.default_rng(21)
+        A = rng.normal(size=(4, 4))
+        A = 0.5 * A / np.abs(np.linalg.eigvals(A)).max()
+        sys = AutonomousSystem(A, Zonotope(np.zeros(4),
+                                           0.1 * rng.normal(size=(4, 6))))
+        F, alpha, s = mrpi_iterative(sys, 1e-3)
+        assert alpha < 1.0 and F.n_g == 6 * s
+        assert invariant_by_supports(sys, F, oracle.directions(4, seed=4)[:40])
+
     def test_eps_validation(self, closed_loop):
         with pytest.raises(ValueError):
             mrpi_iterative(closed_loop, 0.0)
+
+
+class TestZonotopeFacets:
+    def test_hrep_equals_the_set(self):
+        rng = np.random.default_rng(11)
+        for n, n_g in ((2, 4), (3, 5), (4, 6)):
+            Z = make_zonotope(rng, n, n_g)
+            P = _w_hrep(Z)
+            box = rng.uniform(-1.0, 1.0, size=(120, n))
+            for x in Z.c + box * np.abs(Z.G).sum(axis=1):
+                assert bool((P.H @ x <= P.f + 1e-9).all()) == \
+                    oracle.membership(Z, x, tol=1e-9)
+            for h, f in zip(P.H, P.f):
+                assert oracle.support_lp(Z, h) == pytest.approx(f, abs=1e-9)
+
+    def test_rejects_flat_and_constrained_sets(self):
+        with pytest.raises(ValueError, match="full-dimensional"):
+            _w_hrep(Zonotope([0.0, 0.0], [[1.0], [1.0]]))
+        # A flat box, e.g. a disturbance on one state only, keeps its rows.
+        P = _w_hrep(Zonotope([0.5, 0.0], [[1.0], [0.0]]))
+        assert np.array_equal(P.H, np.vstack([np.eye(2), -np.eye(2)]))
+        assert np.array_equal(P.f, [1.5, 0.0, 0.5, 0.0])
+        rng = np.random.default_rng(12)
+        with pytest.raises(ValueError, match="unconstrained"):
+            AutonomousSystem(0.5 * np.eye(2), make_conzono(rng, 2, 4, 1))
+
+    def test_subset_budget(self, monkeypatch):
+        Z = make_zonotope(np.random.default_rng(13), 3, 5)
+        monkeypatch.setattr(invariance, "FACET_BUDGET", 9)
+        with pytest.raises(ValueError, match="C\\(5, 2\\)"):
+            _w_hrep(Z)
 
 
 class TestRpiOnestep:

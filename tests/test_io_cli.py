@@ -187,6 +187,18 @@ class TestCli:
         assert D.n_g == 6
         assert oracle.support_lp(D, [1.0, 0.0]) > 0.0
 
+    def test_inner_order_on_a_constraint_free_conzono(self, tmp_path):
+        z = tmp_path / "z.json"
+        out = tmp_path / "out.json"
+        G = [[4.0, 3.0, -2.0], [0.0, 2.0, 3.0]]
+        z.write_text(json.dumps({"kind": "conzono", "c": [1.0, 0.0],
+                                 "G": G, "A": [], "b": []}))
+        assert self.run("inner", z, "--order", "2", "-o", out) == 0
+        assert read_set(out).n_g == 2
+        write_set(z, ConstrainedZonotope([0.0, 0.0], G, [[1.0, 0.0, 0.0]],
+                                         [0.0]))
+        assert self.run("inner", z, "--order", "2", "-o", out) == 2
+
     def test_usage_error_exit_code(self, capsys):
         assert self.run("frobnicate") == 1
         assert self.run("volume") == 1

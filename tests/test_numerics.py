@@ -9,11 +9,10 @@ from zonokit.numerics import (
     LinearProgram,
     LpBuilder,
     gauss_jordan_full_pivot,
-    nullspace_basis,
     optimize_scaling,
-    pinv_solve,
     solve_lp,
 )
+from zonokit.containment import _coefficient_polytope
 
 
 class TestSolveLp:
@@ -156,20 +155,38 @@ def test_gauss_jordan_flags_inconsistency():
     assert ok["zero_rows"]
 
 
+# Full row rank (wide and square), rank deficient (consistent), and no
+# constraints at all.
+COEFFICIENT_SYSTEMS = [
+    (np.array([[1.0, 2.0, 3.0]]), np.array([0.5])),
+    (np.eye(3), np.array([0.1, 0.2, 0.3])),
+    (np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]), np.array([0.5, 1.0])),
+    (np.zeros((0, 3)), np.zeros(0)),
+]
+
+
 def test_nullspace_basis():
-    A = np.array([[1.0, 2.0, 3.0]])
-    N = nullspace_basis(A)
-    assert N.shape == (3, 2)
-    assert np.allclose(A @ N, 0.0, atol=1e-12)
-    full = nullspace_basis(np.eye(3))
-    assert full.shape[1] == 0
+    for A, b in COEFFICIENT_SYSTEMS:
+        _, T, H, _, _ = _coefficient_polytope(A, b)
+        rank = np.linalg.matrix_rank(A) if A.size else 0
+        assert T.shape == (A.shape[1], A.shape[1] - rank)
+        assert np.allclose(A @ T, 0.0, atol=1e-12)
+        assert np.allclose(T.T @ T, np.eye(T.shape[1]), atol=1e-12)
+        assert np.array_equal(H, np.vstack([T, -T]))
 
 
 def test_pinv_solve_least_squares():
+    for A, b in COEFFICIENT_SYSTEMS:
+        s, _, _, f, _ = _coefficient_polytope(A, b)
+        assert np.allclose(A @ s, b, atol=1e-12)
+        assert np.allclose(s, np.linalg.pinv(A) @ b, atol=1e-12)
+        assert np.array_equal(f, np.concatenate([1.0 - s, 1.0 + s]))
+    # Inconsistent rows: s is the least-squares solution.
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    b = np.array([1.0, 2.0, 3.0])
-    x = pinv_solve(A, b)
-    assert np.allclose(x, np.linalg.pinv(A) @ b)
+    b = np.array([1.0, 2.0, 4.0])
+    s, *_ = _coefficient_polytope(A, b)
+    assert np.allclose(s, np.linalg.pinv(A) @ b)
+    assert np.abs(A @ s - b).max() > 0.1
 
 
 def test_infeasible_program_exception_carries_status():

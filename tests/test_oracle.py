@@ -293,26 +293,6 @@ def test_empty_sets_are_reported():
     assert np.isinf(oracle._sup_distances(bad, [[0.0], [1.0]])).all()
 
 
-class TestZonotopeFacets:
-    def test_hrep_equals_the_set(self):
-        rng = np.random.default_rng(11)
-        for n, n_g in ((2, 4), (3, 5)):
-            Z = make_zonotope(rng, n, n_g)
-            P = oracle.zonotope_facets(Z)
-            for x in rng.uniform(-6, 6, size=(120, n)):
-                assert bool((P.H @ x <= P.f + 1e-9).all()) == \
-                    oracle.membership(Z, x, tol=1e-9)
-            for h, f in zip(P.H, P.f):
-                assert oracle.support_lp(Z, h) == pytest.approx(f, abs=1e-9)
-
-    def test_rejects_flat_and_constrained_sets(self):
-        with pytest.raises(ValueError, match="full-dimensional"):
-            oracle.zonotope_facets(Zonotope([0.0, 0.0], [[1.0], [1.0]]))
-        rng = np.random.default_rng(12)
-        with pytest.raises(ValueError, match="unconstrained"):
-            oracle.zonotope_facets(make_conzono(rng, 2, 4, 1))
-
-
 class TestHorizonFeasible:
     def setup_method(self):
         X = HPolytope(np.vstack([np.eye(2), -np.eye(2)]), [5, 5, 5, 5])
