@@ -96,32 +96,44 @@ def _w_hrep(W):
 
     Axis-aligned generators make W the box c +- sum|G|, flat or not.
     Otherwise W must be full-dimensional, and every facet is spanned by
-    n-1 of its generators, so each (n-1)-subset gives a candidate
-    normal: its cofactor vector, entry k being (-1)^k det of the subset
-    with row k deleted (Althoff, Stursberg and Buss, Nonlinear Analysis:
-    Hybrid Systems, 2010).  Zero normals (dependent subsets) are
-    dropped; both signs of the others are kept, unit length, with
-    offsets h @ c + sum_i |h @ g_i|.  Repeated rows are harmless to the
-    max the ratio takes.  More than ``FACET_BUDGET`` subsets raise
-    ValueError.
+    n-1 of its generators, so each (n-1)-subset of the nonzero
+    generators gives a candidate normal: its cofactor vector, entry k
+    being (-1)^k det of the subset with row k deleted (Althoff,
+    Stursberg and Buss, Nonlinear Analysis: Hybrid Systems, 2010).
+    Each generator is first scaled by a power of two to largest entry
+    in [1/2, 1); that is exact, keeps every normal's direction, and
+    makes the 1e-12 cutoff on a normal's length measure how close its
+    subset comes to dependence, whatever W's size.  Normals under the
+    cutoff are dropped (ValueError if none is left); both signs of the
+    others are kept, unit length, with offsets h @ c + sum_i |h @ g_i|.
+    Repeated rows are harmless to the max the ratio takes.  More than
+    ``FACET_BUDGET`` subsets raise ValueError, in 2-D and 3-D too: a
+    2-D W with over 10,000 generators or a 3-D W with over 142 is
+    rejected.
     """
     if (np.count_nonzero(W.G, axis=0) <= 1).all():
         lo, hi = W.interval_hull()
         eye = np.eye(W.n)
         return HPolytope(np.vstack([eye, -eye]), np.concatenate([hi, -lo]))
-    n, n_g = W.n, W.n_g
+    n = W.n
     if np.linalg.matrix_rank(W.G) < n:
         raise ValueError("W must be full-dimensional unless its generators "
                          "are axis-aligned")
+    G = W.G[:, W.G.any(axis=0)]
+    n_g = G.shape[1]
     if math.comb(n_g, n - 1) > FACET_BUDGET:
         raise ValueError(f"facet enumeration of W visits C({n_g}, {n - 1}) "
                          f"generator subsets, over FACET_BUDGET = {FACET_BUDGET}")
-    subsets = W.G[:, list(itertools.combinations(range(n_g), n - 1))]
+    G = np.ldexp(G, -np.frexp(np.abs(G).max(axis=0))[1])
+    subsets = G[:, list(itertools.combinations(range(n_g), n - 1))]
     S = subsets.transpose(1, 0, 2)
     H = np.stack([(-1) ** k * _det(np.delete(S, k, axis=1))
                   for k in range(n)], axis=1)
     norms = np.array([np.linalg.norm(h) for h in H])
     keep = norms > 1e-12
+    if not keep.any():
+        raise ValueError("every n-1 of W's generators are nearly dependent; "
+                         "no facet normal is reliable")
     H = H[keep] / norms[keep, None]
     H = np.vstack([H, -H])
     return HPolytope(H, H @ W.c + np.abs(H @ W.G).sum(axis=1))

@@ -113,6 +113,19 @@ class TestMrpiIterative:
         F, alpha, s = mrpi_iterative(sys, 1e-3)
         assert alpha < 1.0 and F.n_g == 6 * s
         assert invariant_by_supports(sys, F, oracle.directions(4, seed=4)[:40])
+        # W's size does not decide which facets count: a power-of-two
+        # scale leaves every rounding as it was, and 1e-5 moves alpha only
+        # in its last bits.
+        for scale in (2.0 ** -17, 1e-5):
+            tiny = AutonomousSystem(A, Zonotope(np.zeros(4), scale * sys.W.G))
+            F_t, alpha_t, s_t = mrpi_iterative(tiny, scale * 1e-3)
+            assert s_t == s and alpha_t == pytest.approx(alpha, rel=1e-9)
+            assert np.allclose(F_t.G, scale * F.G, rtol=1e-9, atol=0.0)
+            if scale == 2.0 ** -17:
+                assert alpha_t == alpha
+                assert np.array_equal(F_t.G, scale * F.G)
+            assert invariant_by_supports(tiny, F_t,
+                                         oracle.directions(4, seed=4)[:40])
 
     def test_eps_validation(self, closed_loop):
         with pytest.raises(ValueError):
@@ -142,6 +155,16 @@ class TestZonotopeFacets:
         rng = np.random.default_rng(12)
         with pytest.raises(ValueError, match="unconstrained"):
             AutonomousSystem(0.5 * np.eye(2), make_conzono(rng, 2, 4, 1))
+
+    def test_nearly_dependent_generators(self):
+        # Full rank, but every pair of generators spans an area under 1e-12.
+        d = 1e-13
+        with pytest.raises(ValueError, match="nearly dependent"):
+            _w_hrep(Zonotope(np.zeros(3), [[1.0, 1.0, 1.0], [0.0, d, 0.0],
+                                           [0.0, 0.0, d]]))
+        # Zero generators are skipped, not counted against the budget.
+        P = _w_hrep(Zonotope([0.0, 0.0], [[1.0, 0.0, 1.0], [1.0, 0.0, -1.0]]))
+        assert P.H.shape == (4, 2)
 
     def test_subset_budget(self, monkeypatch):
         Z = make_zonotope(np.random.default_rng(13), 3, 5)
