@@ -152,15 +152,16 @@ def _det(M):
 
 def _support_ratio(Z, P):
     """Smallest alpha with Z inside alpha * {x : P.H x <= P.f} (P convex,
-    containing the origin); inf when some row makes it impossible."""
-    worst = 0.0
-    for h, f in zip(P.H, P.f):
-        reach = support(Z, h)
-        if f > 1e-12:
-            worst = max(worst, reach / f)
-        elif reach > 1e-12:
-            return np.inf
-    return worst
+    containing the origin); inf when some row makes it impossible.
+
+    The support of Z on every row at once, each row's products stacked
+    so that they round as :func:`support`'s lone h @ c and h @ G do."""
+    H = P.H[:, None, :]
+    reach = (H @ Z.c[:, None])[:, 0, 0] + np.abs(H @ Z.G)[:, 0, :].sum(axis=1)
+    slack = P.f > 1e-12
+    if np.any(reach[~slack] > 1e-12):
+        return np.inf
+    return float(np.max(reach[slack] / P.f[slack], initial=0.0))
 
 
 def mrpi_iterative(sys, eps, s_max=10000):

@@ -8,8 +8,11 @@ sized for n <= 4 and a few dozen generators: this module is test
 tooling, kept out of the supported API surface.
 
 Sweeps are batched, since most of a small linprog call is scipy's
-overhead: LP_BLOCKS directions or points go to one block-diagonal
-support (:func:`_support_points`) or distance (:func:`_sup_distances`) LP.
+overhead (about 2 ms; the HiGHS solve itself is small): LP_BLOCKS
+directions or points go to one block-diagonal support
+(:func:`_support_points`) or distance (:func:`_sup_distances`) LP.
+The blocks are assembled sparse (:func:`_block_diagonal`), so a
+program's memory is linear in its block count.
 """
 
 import itertools
@@ -17,6 +20,7 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array, vstack
 from scipy.spatial import ConvexHull, QhullError
 
 from .sets import EmptySetError, as_conzono
@@ -29,10 +33,13 @@ MEMBERSHIP_TOL = 1e-9
 PRIMAL_TOL = 1e-10
 SUPPORT_TOL = 1e-6
 GENERATOR_BUDGET = 128
-# Blocks per support or distance program.  The dense matrices grow with
-# its square: 64 added 5 MiB to the verify benchmark's peak RSS; 16 adds
-# about 1 MiB and runs 7-8x faster than one direction or point per LP.
-LP_BLOCKS = 16
+# Blocks per support or distance program.  Its sparse matrices grow
+# linearly with it, and peak memory still grows: the verify
+# benchmark's peak RSS (seed 0) is 85.6 MiB at 16 blocks, 87.2 at 64,
+# 94.2 at 256 and 111.4 at 720 (a whole 2-D sweep in one program),
+# while 64 already cuts its linprog calls from 414 to 189.  The
+# batching tests need a sweep of 100 points to span two programs.
+LP_BLOCKS = 64
 
 _DEDUPE_DECIMALS = 9
 
@@ -121,6 +128,19 @@ def _rowwise(M, V):
     return (M @ V[:, :, None])[:, :, 0]
 
 
+def _block_diagonal(M, m, width):
+    """kron(I_m, M) as a CSR array with width >= m * M.shape[1] columns,
+    those past the blocks zero, built from M's nonzeros by index
+    arithmetic."""
+    rows, cols = M.shape
+    i, j = np.nonzero(M)
+    per_row = np.bincount(i, minlength=rows)
+    indptr = np.concatenate([[0], np.cumsum(np.tile(per_row, m))])
+    indices = (j + cols * np.arange(m)[:, None]).ravel()
+    return csr_array((np.tile(M[i, j], m), indices, indptr),
+                     shape=(m * rows, width))
+
+
 def _maximizers(A, b, Q):
     """A maximizer of q . xi over A xi = b, |xi| <= 1 for every row q of
     Q, LP_BLOCKS rows to a program: the blocks share no variable, so
@@ -128,7 +148,7 @@ def _maximizers(A, b, Q):
     X = np.empty_like(Q)
     for start in range(0, len(Q), LP_BLOCKS):
         q = Q[start:start + LP_BLOCKS]
-        res = linprog(-q.ravel(), A_eq=np.kron(np.eye(len(q)), A),
+        res = linprog(-q.ravel(), A_eq=_block_diagonal(A, len(q), q.size),
                       b_eq=np.tile(b, len(q)),
                       bounds=(-1.0, 1.0), method="highs",
                       options={"primal_feasibility_tolerance": PRIMAL_TOL})
@@ -178,14 +198,17 @@ def _sup_distances(Z, points):
     for start in range(0, len(P), LP_BLOCKS):
         gaps = P[start:start + LP_BLOCKS] - c
         m = len(gaps)
-        eye = np.eye(m)
-        xi = np.kron(eye, G)
-        ones = np.kron(eye, np.ones((n, 1)))
-        A_ub = np.block([[xi, -ones], [-xi, -ones]])
+        width = m * (n_g + 1)
+        xi = _block_diagonal(G, m, width)
+        # -t_j in every row of block j
+        minus_t = csr_array((np.full(m * n, -1.0),
+                             np.repeat(np.arange(m * n_g, width), n),
+                             np.arange(m * n + 1)), shape=(m * n, width))
+        A_ub = vstack([xi + minus_t, -xi + minus_t], format="csr")
         b_ub = np.concatenate([gaps.ravel(), -gaps.ravel()])
         A_eq = b_eq = None
         if Z.n_c:
-            A_eq = np.hstack([np.kron(eye, A), np.zeros((m * Z.n_c, m))])
+            A_eq = _block_diagonal(A, m, width)
             b_eq = np.tile(b, m)
         cost = np.concatenate([np.zeros(m * n_g), np.ones(m)])
         bounds = [(-1.0, 1.0)] * (m * n_g) + [(0.0, None)] * m
@@ -288,7 +311,14 @@ class _SetProbe:
     """Bulk point classifier: a support-sweep outer polytope rejects,
     the hull of the support points accepts, LPs resolve the thin band
     in between.
+
+    Rejection runs in two stages: the first COARSE_ROWS sweep rows (the
+    coarse icosphere levels in 3-D, random directions in 4-D, so spread
+    over the sphere) reject most outside points, and only the points
+    they keep meet the other rows and then the inner hull.
     """
+
+    COARSE_ROWS = 64
 
     def __init__(self, Z, tol=MEMBERSHIP_TOL):
         self.Z = as_conzono(Z)
@@ -301,23 +331,27 @@ class _SetProbe:
         except (QhullError, ValueError):
             self.inner = None  # flat set: fall through to LPs
 
+    def _below(self, points, H, f):
+        """Whether max_i (H_i . p - f_i) <= tol for every row p of points."""
+        out = np.empty(len(points), dtype=bool)
+        for start in range(0, len(points), 4096):
+            chunk = points[start:start + 4096]
+            out[start:start + 4096] = np.max(
+                chunk @ H.T - f, axis=1, initial=-np.inf) <= self.tol
+        return out
+
     def classify(self, points):
         points = np.asarray(points, dtype=float)
-        m = len(points)
-        result = np.zeros(m, dtype=bool)
-        undecided = np.ones(m, dtype=bool)
-        for start in range(0, m, 4096):
-            rows = slice(start, min(start + 4096, m))
-            chunk = points[rows]
-            outer = np.max(chunk @ self.D.T - self.f, axis=1) <= self.tol
-            undecided[rows] = outer
-            if self.inner is not None:
-                inside = np.max(
-                    chunk @ self.inner[:, :-1].T + self.inner[:, -1],
-                    axis=1) <= self.tol
-                result[rows] = outer & inside
-                undecided[rows] = outer & ~inside
-        band = np.flatnonzero(undecided)
+        k = self.COARSE_ROWS
+        keep = np.flatnonzero(self._below(points, self.D[:k], self.f[:k]))
+        keep = keep[self._below(points[keep], self.D[k:], self.f[k:])]
+        result = np.zeros(len(points), dtype=bool)
+        band = keep
+        if self.inner is not None:
+            inside = self._below(points[keep], self.inner[:, :-1],
+                                 -self.inner[:, -1])
+            result[keep[inside]] = True
+            band = keep[~inside]
         result[band] = _sup_distances(self.Z, points[band]) <= self.tol
         return result
 

@@ -11,6 +11,7 @@ from zonokit import (
     minkowski_sum,
     mrpi_iterative,
     rpi_onestep,
+    support,
     zonotope_contains,
 )
 from zonokit.containment import zonotope_containment_residual
@@ -130,6 +131,36 @@ class TestMrpiIterative:
     def test_eps_validation(self, closed_loop):
         with pytest.raises(ValueError):
             mrpi_iterative(closed_loop, 0.0)
+
+
+def _support_ratio_per_row(Z, P):
+    """The support ratio from one :func:`support` call per row."""
+    worst = 0.0
+    for h, f in zip(P.H, P.f):
+        reach = support(Z, h)
+        if f > 1e-12:
+            worst = max(worst, reach / f)
+        elif reach > 1e-12:
+            return np.inf
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_support_ratio_rounds_as_one_support_per_row(n):
+    rng = np.random.default_rng(50 + n)
+    e1 = np.eye(n)[0]
+    for n_g in (0, 1, 7, 40):
+        # centred 100 along e1, so Z reaches past {e1 . x <= 0} and
+        # stays behind {-e1 . x <= 0}
+        Z = Zonotope(100.0 * e1 + rng.normal(size=n), rng.normal(size=(n, n_g)))
+        H = rng.normal(size=(60, n))
+        f = np.abs(rng.normal(size=60)) + 0.1
+        ratio = invariance._support_ratio(Z, HPolytope(H, f))
+        assert 0.0 < ratio == _support_ratio_per_row(Z, HPolytope(H, f))
+        behind = HPolytope(np.vstack([H, -e1]), np.r_[f, 0.0])
+        assert invariance._support_ratio(Z, behind) == ratio
+        past = HPolytope(np.vstack([H, e1]), np.r_[f, 0.0])
+        assert invariance._support_ratio(Z, past) == np.inf
 
 
 class TestZonotopeFacets:

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from zonokit import (
     ConstrainedZonotope,
@@ -17,7 +20,7 @@ from zonokit.reach import LinearSystem
 from zonokit.sets import as_conzono
 from zonokit import oracle
 
-from conftest import make_conzono, make_zonotope
+from conftest import make_conzono, make_no_generators, make_zonotope
 
 
 def test_directions_are_deterministic_and_unit():
@@ -192,6 +195,92 @@ def test_batched_support_reports_empty_sets():
                                     np.zeros((1, 0)), [1.0])):
         with pytest.raises(EmptySetError):
             oracle._support_points(bad, D)
+        assert np.isinf(oracle._sup_distances(bad, D)).all()
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_block_diagonal_is_the_padded_kron(m):
+    # a zero entry, a zero row and a negative zero, which is no nonzero
+    M = np.array([[1.5, 0.0, -2.0], [0.0, 0.0, 0.0], [-0.0, 3.0, 0.0]])
+    for width in (3 * m, 3 * m + 5):
+        B = oracle._block_diagonal(M, m, width)
+        assert isinstance(B, csr_array) and B.shape == (3 * m, width)
+        assert B.nnz == 3 * m
+        want = np.hstack([np.kron(np.eye(m), M), np.zeros((3 * m, width - 3 * m))])
+        assert np.array_equal(B.toarray(), want)
+
+
+def _one_point_distance(Z, p):
+    """Sup-norm distance from p to the set from one dense LP: one block
+    of the batched distance program."""
+    Z = as_conzono(Z)
+    c, G, A, b = Z.c, Z.G, Z.A, Z.b
+    if Z.n_g == 0:
+        return float(np.max(np.abs(p - c)))
+    ones = np.ones((Z.n, 1))
+    res = linprog(np.r_[np.zeros(Z.n_g), 1.0],
+                  A_ub=np.block([[G, -ones], [-G, -ones]]),
+                  b_ub=np.r_[p - c, c - p],
+                  A_eq=np.hstack([A, np.zeros((Z.n_c, 1))]) if Z.n_c else None,
+                  b_eq=b if Z.n_c else None,
+                  bounds=[(-1.0, 1.0)] * Z.n_g + [(0.0, None)], method="highs",
+                  options={"primal_feasibility_tolerance": oracle.PRIMAL_TOL})
+    if res.status == 2:
+        return np.inf
+    assert res.status == 0, res.message
+    return res.x[-1]
+
+
+def _degenerate_sets(rng):
+    Z = make_conzono(rng, 3, 6, 2)
+    zero_column = ConstrainedZonotope(
+        Z.c, np.hstack([Z.G[:, :2], np.zeros((3, 1)), Z.G[:, 3:]]), Z.A, Z.b)
+    duplicated = ConstrainedZonotope(Z.c, Z.G, np.vstack([Z.A, Z.A, 2 * Z.A[:1]]),
+                                     np.r_[Z.b, Z.b, 2 * Z.b[:1]])
+    plane = rng.normal(size=(3, 2))
+    flat = ConstrainedZonotope(Z.c, plane @ rng.normal(size=(2, 6)), Z.A, Z.b)
+    point = ConstrainedZonotope([1.0, -2.0, 0.5], np.zeros((3, 0)),
+                                np.zeros((2, 0)), [0.0, 0.0])
+    return {"zero generator column": zero_column,
+            "duplicated rank-deficient A rows": duplicated,
+            "flat": flat, "no generators": point}
+
+
+def test_batched_sweeps_match_one_lp_per_row_on_degenerate_sets():
+    rng = np.random.default_rng(40)
+    D = rng.standard_normal((oracle.LP_BLOCKS + 7, 3))
+    D /= np.linalg.norm(D, axis=1, keepdims=True)
+    for kind, Z in _degenerate_sets(rng).items():
+        values, points = oracle._support_points(Z, D)
+        want_values, _ = _one_direction_support_points(Z, D)
+        assert np.max(np.abs(values - want_values)) <= 1e-12, kind
+        assert np.allclose(np.sum(points * D, axis=1), values,
+                           rtol=0.0, atol=1e-9), kind
+        # points on and just off the set, and well away from it
+        P = np.vstack([points[:20] + 1e-4 * D[:20],
+                       Z.c + rng.uniform(-3, 3, (len(D) - 20, 3))])
+        want = [_one_point_distance(Z, p) for p in P]
+        assert np.allclose(oracle._sup_distances(Z, P), want,
+                           rtol=0.0, atol=1e-9), kind
+
+
+def test_a_two_dimensional_sweep_takes_one_program_per_lp_blocks_rows(
+        monkeypatch):
+    Z = make_conzono(np.random.default_rng(41), 2, 6, 2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "linprog", counting)
+    D = oracle.directions(2)
+    assert len(D) == 720
+    oracle._support_points(Z, D)
+    assert len(calls) == math.ceil(720 / oracle.LP_BLOCKS)
+    calls.clear()
+    oracle._sup_distances(Z, Z.c + D)
+    assert len(calls) == math.ceil(720 / oracle.LP_BLOCKS)
 
 
 def test_empty_below_the_solver_default_tolerance():
@@ -239,8 +328,9 @@ def _per_point_classify(probe, points):
     return result, band
 
 
-def test_probe_band_matches_one_membership_per_point():
+def test_probe_band_matches_one_membership_per_point(monkeypatch):
     rng = np.random.default_rng(31)
+    sup_distances = oracle._sup_distances
     solid = make_conzono(rng, 3, 6, 2)
     # a flat set has no inner hull, so every point the outer polytope
     # keeps goes to the LPs
@@ -261,7 +351,18 @@ def test_probe_band_matches_one_membership_per_point():
             lo + rng.random((300, 3)) * (hi - lo)])
         want, band = _per_point_classify(probe, points)
         assert band.sum() >= 10
-        assert np.array_equal(probe.classify(points), want)
+        solved = []
+
+        def recording(Z, P):
+            solved.append(P)
+            return sup_distances(Z, P)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_sup_distances", recording)
+            got = probe.classify(points)
+        assert np.array_equal(got, want)
+        # the two-stage rejection leaves the LPs the one-stage band
+        assert np.array_equal(np.vstack(solved), points[band])
     assert probe.inner is None
     assert 0 < want[band].sum() < band.sum()
 
