@@ -22,6 +22,7 @@ from .sets import (
     Halfspace,
     Zonotope,
     _coefficient_lp,
+    _lp_support,
     support,
     TOL,
 )
@@ -160,24 +161,15 @@ def conzono_halfspace_intersection(Z, hs):
     return _fold(Z, hs)
 
 
-def _support(Z, h):
-    """max h @ x over Z by one coefficient LP; EmptySetError when Z is empty."""
-    objective = h @ Z.G
-    xi = _coefficient_lp(Z, objective, maximize=True)
-    if xi is None:
-        raise EmptySetError("set is empty")
-    return float(h @ Z.c) + float(objective @ xi)
-
-
 def conzono_hyperplane_range(Z, hs):
-    """Range (f_min, f_max) of h @ x over a constrained zonotope via two LPs.
+    """Range (f_min, f_max) of h @ x over Z: its supports in -h and h.
 
     The set crosses the hyperplane h @ x = f iff f_min <= f <= f_max.
     Raises EmptySetError for an empty set.
     """
     if hs.h.size != Z.n:
         raise ValueError("halfspace dimension mismatch")
-    return -_support(Z, -hs.h), _support(Z, hs.h)
+    return -support(Z, -hs.h), support(Z, hs.h)
 
 
 def conzono_halfspace_feasible(Z, hs):
@@ -267,7 +259,7 @@ def conzono_in_halfspace(Z, hs, strategy="LP", passes=2):
 
     if strategy == "LP":
         try:
-            return _support(Z, hs.h) <= hs.f + TOL
+            return _lp_support(Z, hs.h) <= hs.f + TOL
         except EmptySetError:
             return True  # the empty set is inside everything
 
@@ -332,7 +324,7 @@ def hpolytope_to_conzono(P):
     for hs in P.halfspaces():
         # Support of the current intersection in the row direction; skip
         # halfspaces that do not strictly cut.
-        reach = support(out, hs.h) if out.n_c == 0 else _support(out, hs.h)
+        reach = support(out, hs.h)
         if reach <= hs.f + TOL:
             continue
         out = _fold(out, hs)

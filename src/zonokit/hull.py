@@ -12,7 +12,7 @@ n_c1 + n_c2 + 2(n_g1 + n_g2) constraints.
 
 import numpy as np
 
-from .sets import ConstrainedZonotope, EmptySetError, _make, as_conzono, is_empty
+from .sets import EmptySetError, _make, as_conzono, is_empty
 
 
 def convex_hull(Z1, Z2):
@@ -64,12 +64,7 @@ def convex_hull(Z1, Z2):
 def convex_hull_with_point(Z, x):
     """Convex hull of a set and a single point.
 
-    The point enters as a zero-generator constrained zonotope, so the
-    result follows the binary hull's size formulas with n_g2 = 0.
+    The point enters as a zero-generator zonotope (see as_conzono), so
+    the result follows the binary hull's size formulas with n_g2 = 0.
     """
-    Z = as_conzono(Z)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != Z.n:
-        raise ValueError("point dimension differs from the set")
-    point = ConstrainedZonotope(x, np.zeros((Z.n, 0)))
-    return convex_hull(Z, point)
+    return convex_hull(Z, x)

@@ -105,7 +105,7 @@ def _w_hrep(W):
     makes the 1e-12 cutoff on a normal's length measure how close its
     subset comes to dependence, whatever W's size.  Normals under the
     cutoff are dropped (ValueError if none is left); both signs of the
-    others are kept, unit length, with offsets h @ c + sum_i |h @ g_i|.
+    others are kept, unit length, with offsets support(W, h).
     Repeated rows are harmless to the max the ratio takes.  More than
     ``FACET_BUDGET`` subsets raise ValueError, in 2-D and 3-D too: a
     2-D W with over 10,000 generators or a 3-D W with over 142 is
@@ -136,7 +136,7 @@ def _w_hrep(W):
                          "no facet normal is reliable")
     H = H[keep] / norms[keep, None]
     H = np.vstack([H, -H])
-    return HPolytope(H, H @ W.c + np.abs(H @ W.G).sum(axis=1))
+    return HPolytope(H, support(W, H))
 
 
 def _det(M):
@@ -152,12 +152,8 @@ def _det(M):
 
 def _support_ratio(Z, P):
     """Smallest alpha with Z inside alpha * {x : P.H x <= P.f} (P convex,
-    containing the origin); inf when some row makes it impossible.
-
-    The support of Z on every row at once, each row's products stacked
-    so that they round as :func:`support`'s lone h @ c and h @ G do."""
-    H = P.H[:, None, :]
-    reach = (H @ Z.c[:, None])[:, 0, 0] + np.abs(H @ Z.G)[:, 0, :].sum(axis=1)
+    containing the origin); inf when some row makes it impossible."""
+    reach = support(Z, P.H)
     slack = P.f > 1e-12
     if np.any(reach[~slack] > 1e-12):
         return np.inf
@@ -188,9 +184,7 @@ def mrpi_iterative(sys, eps, s_max=10000):
     D = eye.copy()               # columns are (A^T)^i e_j
     As = eye.copy()              # A^s
     for s in range(1, s_max + 1):
-        for j in range(n):
-            dir_sums[j] += support(W, D[:, j])
-            dir_sums[n + j] += support(W, -D[:, j])
+        dir_sums += support(W, np.vstack([D.T, -D.T]))
         D = A.T @ D
         As = A @ As
         alpha = _support_ratio(linear_map(As, W), Wh)

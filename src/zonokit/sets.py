@@ -268,16 +268,34 @@ def generalized_intersection(Z, Y, R=None):
 
 
 def support(Z, h):
-    """Support function max_{x in Z} h @ x of a zonotope, evaluated
-    algebraically as h @ c + sum_i |h @ g_i|."""
-    h = _vector(h, "h")
-    if h.size != Z.n:
+    """Support function max_{x in Z} h @ x.
+
+    One direction h of shape (n,) gives a float, a stack of shape
+    (k, n) one value per row.  A plain zonotope is evaluated in closed
+    form, h @ c + sum_i |h @ g_i|, with each row's products stacked so
+    that a row rounds as a lone direction does; a constrained zonotope
+    takes one coefficient LP per row.  Raises EmptySetError when Z is
+    empty.
+    """
+    single = np.ndim(h) < 2
+    H = _vector(h, "h")[None] if single else _matrix(h, "h")
+    if H.shape[1] != Z.n:
         raise ValueError("direction dimension mismatch")
-    if Z.n_c != 0:
-        raise ValueError("algebraic support requires a zonotope; "
-                         "use an LP (halfspaces.conzono_hyperplane_range) for "
-                         "constrained zonotopes")
-    return float(h @ Z.c + np.abs(h @ Z.G).sum())
+    if Z.n_c == 0:
+        S = H[:, None, :]
+        values = (S @ Z.c[:, None])[:, 0, 0] + np.abs(S @ Z.G)[:, 0, :].sum(axis=1)
+    else:
+        values = np.array([_lp_support(Z, row) for row in H])
+    return float(values[0]) if single else values
+
+
+def _lp_support(Z, h):
+    """max h @ x over Z by one coefficient LP; EmptySetError when Z is empty."""
+    objective = h @ Z.G
+    xi = _coefficient_lp(Z, objective, maximize=True)
+    if xi is None:
+        raise EmptySetError("set is empty")
+    return float(h @ Z.c) + float(objective @ xi)
 
 
 def _coefficient_lp(Z, objective=None, maximize=False, a_ub=None, b_ub=None):

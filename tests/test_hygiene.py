@@ -85,3 +85,20 @@ def test_every_parameter_is_read(module):
         unread += [(fn.lineno, getattr(fn, "name", "<lambda>"), p)
                    for p in params if p not in read]
     assert not unread, f"{module} has parameters it never reads: {unread}"
+
+
+# Every library LP goes through numerics.solve_lp; the oracle solves
+# its own programs with scipy directly, as an independent check.
+LINPROG_USERS = {"numerics.py", "oracle.py"}
+
+
+def _names_linprog(node):
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "linprog" for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == "linprog"
+
+
+def test_only_numerics_and_oracle_import_linprog():
+    users = {module for module in MODULES + ["__init__.py"]
+             if any(map(_names_linprog, ast.walk(_parse(module))))}
+    assert users == LINPROG_USERS

@@ -108,10 +108,44 @@ def test_support_algebraic_vs_lp():
         assert support(Z, h) == pytest.approx(oracle.support_lp(Z, h), abs=1e-7)
 
 
-def test_support_rejects_constrained_sets():
-    Zc = ConstrainedZonotope([0.0, 0.0], np.eye(2), [[1.0, 0.0]], [0.2])
-    with pytest.raises(ValueError):
-        support(Zc, [1.0, 0.0])
+DEGENERATE = {
+    "point": Zonotope.singleton([0.5, -1.5]),
+    "zero generator": Zonotope([0.3, -0.1], [[1.0, 0.0, 0.5], [2.0, 0.0, -1.0]]),
+    "flat 3-D": Zonotope([1.0, 0.0, -1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    "rank-deficient A": ConstrainedZonotope(
+        [0.0, 0.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+        [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], [0.5, 1.0]),
+    "duplicated rows": ConstrainedZonotope(
+        [0.2, 0.4], [[1.0, -0.5, 0.3], [0.5, 1.0, -0.2]],
+        [[1.0, -1.0, 0.5], [1.0, -1.0, 0.5]], [0.2, 0.2]),
+    # the square [-1, 1]^2 cut by x1 + x2 >= 2: the single point (1, 1)
+    "single point": ConstrainedZonotope([0.0, 0.0], np.eye(2),
+                                        [[1.0, 1.0]], [2.0]),
+    "no generators": make_no_generators((0.0, 0.0)),
+    "no generators, inconsistent": make_no_generators((1.0, 0.0)),
+    "constrained 4-D": make_conzono(np.random.default_rng(7), 4, 8, 2),
+    "empty": ConstrainedZonotope([0.0, 0.0], np.eye(2), [[1.0, 1.0]], [3.0]),
+}
+
+
+@pytest.mark.parametrize("kind", DEGENERATE)
+def test_support_on_degenerate_sets(kind):
+    """A stack of directions gives each row's lone value, and that value
+    is the oracle's support; an empty set has none."""
+    Z = DEGENERATE[kind]
+    D = np.random.default_rng(8).normal(size=(70, Z.n))
+    D[:2 * Z.n] = np.vstack([np.eye(Z.n), -np.eye(Z.n)])
+    if is_empty(Z):
+        with pytest.raises(EmptySetError):
+            support(Z, D)
+        with pytest.raises(EmptySetError):
+            support(Z, D[0])
+        return
+    values = support(Z, D)
+    assert values.shape == (70,)
+    assert [support(Z, d) for d in D] == values.tolist()
+    want = [oracle.support_lp(Z, d) for d in D]
+    assert np.max(np.abs(values - want)) <= 1e-7
 
 
 @settings(max_examples=40, deadline=None)
