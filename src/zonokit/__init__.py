@@ -36,9 +36,7 @@ from .halfspaces import (
     zonotope_hyperplane_intersects,
 )
 from .reduction import (
-    lift,
     merge_parallel_generators,
-    merge_parallel_lifted,
     reduce_fully,
     remove_redundant_pair,
 )
@@ -98,12 +96,10 @@ __all__ = [
     "intersect_hpolytope",
     "interval_refine",
     "is_empty",
-    "lift",
     "linear_map",
     "lqr_closed_loop",
     "make_template",
     "merge_parallel_generators",
-    "merge_parallel_lifted",
     "minkowski_sum",
     "mrpi_iterative",
     "pontryagin_iterative",

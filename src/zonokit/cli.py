@@ -10,7 +10,6 @@ import sys
 
 import numpy as np
 
-from . import numerics
 from .containment import (
     TEMPLATE_KINDS,
     inner_reduce_zonotope,
@@ -18,7 +17,7 @@ from .containment import (
     make_template,
 )
 from .halfspaces import (
-    _append_row,
+    _empty_cut,
     conzono_halfspace_intersection,
     intersect_hpolytope,
 )
@@ -78,10 +77,7 @@ def build_parser():
                                 parser_class=_Parser)
 
     def op(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--lp-tol", type=float, default=None,
-                       help="feasibility tolerance for LP verification")
-        return p
+        return sub.add_parser(name, help=help_text)
 
     p = op("map", "apply a linear map R to a set")
     p.add_argument("R", type=_matrix, help="matrix, rows ';'-separated")
@@ -146,7 +142,6 @@ def build_parser():
     p = op("wayset", "backward-reachable wayset of a scenario")
     p.add_argument("scenario", help="scenario JSON (A, B, X, U, x_star, N)")
     p.add_argument("--strategy", choices=WAYSET_STRATEGIES, default="LP")
-    p.add_argument("--ia-passes", type=int, default=2)
     p.add_argument("--reduce", action="store_true",
                    help="compact the result before writing")
     p.add_argument("-o", "--output", required=True)
@@ -192,8 +187,8 @@ def _run(args):
             H = b.H if args.R is None else b.H @ args.R
             live = np.abs(H).sum(axis=1) > 0.0
             result = intersect_hpolytope(a, HPolytope(H[live], b.f[live]))
-            if np.any(b.f[~live] < 0.0):  # empty: _fold's marker row
-                result = _append_row(result, np.eye(result.n_g + 1)[-1], 2.0)
+            if np.any(b.f[~live] < 0.0):
+                result = _empty_cut(result)
         else:
             result = generalized_intersection(a, _require_kind(b, "operand"),
                                               args.R)
@@ -212,6 +207,8 @@ def _run(args):
         if args.order is not None:
             if Z.n_c:
                 raise ValueError("--order applies to plain zonotopes")
+            if args.contain is not None:
+                raise ValueError("--contain applies to --template")
             write_set(out, inner_reduce_zonotope(Z, args.order))
         else:
             template = make_template(Z, args.template)
@@ -245,7 +242,7 @@ def _run(args):
     elif args.command == "wayset":
         scenario = read_scenario(args.scenario)
         Z, _ = wayset(scenario.system, scenario.x_star, scenario.N,
-                      strategy=args.strategy, passes=args.ia_passes)
+                      strategy=args.strategy)
         if args.reduce:
             Z = wayset_reduce(Z)
         write_set(out, Z)
@@ -298,13 +295,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.lp_tol is not None and not 0.0 < args.lp_tol < np.inf:
-            parser.error("--lp-tol must be finite and positive")
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    saved_tol = numerics.LP_TOL
-    if args.lp_tol is not None:
-        numerics.LP_TOL = args.lp_tol
     try:
         return _run(args)
     except SchemaError as exc:
@@ -316,8 +308,6 @@ def main(argv=None):
     except (EmptySetError, ValueError, TypeError, OSError) as exc:
         print(f"zonokit: error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    finally:
-        numerics.LP_TOL = saved_tol
 
 
 if __name__ == "__main__":

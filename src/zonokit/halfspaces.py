@@ -33,6 +33,10 @@ STRATEGIES = ("ZH", "LP", "IA")
 # dividing in the refinement loop.
 DIV_TOL = 1e-12
 
+# Outward padding of every refined interval, so floating-point rounding
+# cannot manufacture a spurious emptiness certificate.
+PAD = 1e-12
+
 
 class IntervalVector:
     """Per-coordinate closed intervals [lo_i, hi_i].
@@ -104,6 +108,12 @@ def _append_row(Z, row, rhs):
     return ConstrainedZonotope(Z.c, G, A, b)
 
 
+def _empty_cut(Z):
+    """Z with one extra generator and the unsatisfiable constraint
+    xi_new = 2: the empty set, with the size bump of one folded cut."""
+    return _append_row(Z, np.concatenate([np.zeros(Z.n_g), [1.0]]), 2.0)
+
+
 def _fold(Z, hs):
     """Append the halfspace cut: one extra generator and one constraint.
 
@@ -116,7 +126,7 @@ def _fold(Z, hs):
     unsatisfiable constraint (xi_new = 2) with the same size bump.
     """
     if hs.f - hs.h @ Z.c + np.abs(hs.h @ Z.G).sum() < 0.0:
-        return _append_row(Z, np.concatenate([np.zeros(Z.n_g), [1.0]]), 2.0)
+        return _empty_cut(Z)
     return _raw_cut(Z, hs)
 
 
@@ -194,7 +204,7 @@ def _solved_ranges(a, rhs, lo, hi):
     return np.where(neg, r_hi, r_lo), np.where(neg, r_lo, r_hi)
 
 
-def interval_refine(Z, iterations=2, pad=1e-12):
+def interval_refine(Z, iterations=2):
     """Interval refinement of the coefficient constraints of Z.
 
     Starting from the unit box E_j = [-1, 1] and R_j = (-inf, inf), each
@@ -204,7 +214,7 @@ def interval_refine(Z, iterations=2, pad=1e-12):
         E_j <- E_j  intersect  R_j.
 
     Two sweeps usually suffice; more can help heavily coupled systems.
-    Computed intervals are padded outward by ``pad`` so floating-point
+    Computed intervals are padded outward by ``PAD`` so floating-point
     rounding cannot manufacture a spurious emptiness certificate.  If
     any E_j becomes empty the set is certifiably empty.
 
@@ -223,8 +233,8 @@ def interval_refine(Z, iterations=2, pad=1e-12):
                 continue
             # Each entry is solved against E as it was before this row.
             lo, hi = _solved_ranges(row[nz], Z.b[i], E.lo[nz], E.hi[nz])
-            R.lo[nz] = np.maximum(R.lo[nz], lo - pad)
-            R.hi[nz] = np.minimum(R.hi[nz], hi + pad)
+            R.lo[nz] = np.maximum(R.lo[nz], lo - PAD)
+            R.hi[nz] = np.minimum(R.hi[nz], hi + PAD)
             E.lo[nz] = np.maximum(E.lo[nz], R.lo[nz])
             E.hi[nz] = np.minimum(E.hi[nz], R.hi[nz])
             if E.any_empty:
@@ -238,7 +248,7 @@ def refine_certifies_empty(Z, iterations=2):
     return E.any_empty
 
 
-def conzono_in_halfspace(Z, hs, strategy="LP", passes=2):
+def conzono_in_halfspace(Z, hs, strategy="LP"):
     """Whether Z provably lies inside the halfspace h @ x <= f.
 
     A True answer always guarantees containment.  The LP strategy is
@@ -272,11 +282,11 @@ def conzono_in_halfspace(Z, hs, strategy="LP", passes=2):
     # width, hence a feasible raw system that refinement cannot reject.
     complement = Halfspace(-hs.h, -hs.f)
     if Z.n_c == 0:
-        return refine_certifies_empty(_fold(Z, complement), iterations=passes)
-    return refine_certifies_empty(_raw_cut(Z, complement), iterations=passes)
+        return refine_certifies_empty(_fold(Z, complement))
+    return refine_certifies_empty(_raw_cut(Z, complement))
 
 
-def intersect_hpolytope(Z, P, strategy="LP", passes=2):
+def intersect_hpolytope(Z, P, strategy="LP"):
     """Intersect Z with an H-Rep polytope, folding one cut per halfspace
     whose containment cannot be proven under the chosen strategy.
 
@@ -290,7 +300,7 @@ def intersect_hpolytope(Z, P, strategy="LP", passes=2):
         raise ValueError("polytope dimension mismatch")
     out = Z
     for hs in P.halfspaces():
-        if strategy != "GI" and conzono_in_halfspace(out, hs, strategy, passes):
+        if strategy != "GI" and conzono_in_halfspace(out, hs, strategy):
             continue
         out = _fold(out, hs)
     return out

@@ -33,6 +33,11 @@ from .sets import (
 # Stability margin: spectral radius must clear 1 by at least this.
 STABILITY_TOL = 1e-9
 
+# The Riccati recursion stops once its max-norm change falls below
+# RICCATI_TOL (relative to max(1, |P|)), and gives up after RICCATI_STEPS.
+RICCATI_TOL = 1e-12
+RICCATI_STEPS = 200_000
+
 # Cap on the (n-1)-subsets of W's generators that facet enumeration
 # visits; each gives two rows of the support-ratio test.
 FACET_BUDGET = 10_000
@@ -250,11 +255,11 @@ def onestep_decision_vars(n_g, n_w, n):
     return n_g * n_g + n_g * (n_w + 2) + n
 
 
-def lqr_closed_loop(A, B, Q, R, W, tol=1e-12, max_iter=200000):
+def lqr_closed_loop(A, B, Q, R, W):
     """Discrete LQR closed loop A + B K, packaged as an AutonomousSystem.
 
     Iterates the Riccati recursion to a fixed point (max-norm change
-    below ``tol``), takes K = -(R + B'PB)^{-1} B'PA, and pairs the
+    below ``RICCATI_TOL``), takes K = -(R + B'PB)^{-1} B'PA, and pairs the
     closed-loop matrix with the disturbance set W.  Non-stabilizable
     pairs never converge and are reported as NumericalError.
     """
@@ -272,7 +277,7 @@ def lqr_closed_loop(A, B, Q, R, W, tol=1e-12, max_iter=200000):
         raise ValueError("Q must be n x n and R must be m x m")
 
     P = Q.copy()
-    for _ in range(max_iter):
+    for _ in range(RICCATI_STEPS):
         BtP = B.T @ P
         with np.errstate(over="ignore", invalid="ignore"):
             K = -np.linalg.solve(R + BtP @ B, BtP @ A)
@@ -280,7 +285,8 @@ def lqr_closed_loop(A, B, Q, R, W, tol=1e-12, max_iter=200000):
         if not np.isfinite(Pn).all():
             raise NumericalError(
                 "Riccati recursion diverged; (A, B) may not be stabilizable")
-        if np.abs(Pn - P).max(initial=0.0) <= tol * max(1.0, np.abs(Pn).max()):
+        if np.abs(Pn - P).max(initial=0.0) <= \
+                RICCATI_TOL * max(1.0, np.abs(Pn).max()):
             P = Pn
             break
         P = Pn

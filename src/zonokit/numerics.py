@@ -134,7 +134,12 @@ def _feasible(p, x, tol):
     return True
 
 
-def gauss_jordan_full_pivot(A, b, tol=1e-9):
+# Relative size below which a Gauss-Jordan pivot, or the right-hand side
+# of a zero row, counts as zero.
+RANK_TOL = 1e-9
+
+
+def gauss_jordan_full_pivot(A, b):
     """Reduce [A | b] to reduced row-echelon form with full pivoting.
 
     Column swaps are recorded as a permutation of the original columns.
@@ -159,7 +164,7 @@ def gauss_jordan_full_pivot(A, b, tol=1e-9):
 
     M = np.column_stack([A, b])
     col_perm = np.arange(n)
-    thresh = tol * max(np.abs(A).max(initial=0.0), 1e-300)
+    thresh = RANK_TOL * max(np.abs(A).max(initial=0.0), 1e-300)
 
     rank = 0
     for k in range(min(m, n)):
@@ -180,7 +185,7 @@ def gauss_jordan_full_pivot(A, b, tol=1e-9):
     R, d = M[:, :n], M[:, n]
     zero_rows = list(range(rank, m))
     rhs_scale = max(np.abs(d).max(initial=0.0), 1.0)
-    inconsistent = [r for r in zero_rows if abs(d[r]) > tol * rhs_scale]
+    inconsistent = [r for r in zero_rows if abs(d[r]) > RANK_TOL * rhs_scale]
     info = {
         "rank": rank,
         "col_perm": col_perm,

@@ -82,7 +82,7 @@ class LinearSystem:
                 f"cond(A)={self.condition_number:.3g})")
 
 
-def wayset(sys, x_star, N, strategy="LP", keep_trace=False, passes=2):
+def wayset(sys, x_star, N, strategy="LP", keep_trace=False):
     """States that reach ``x_star`` in exactly N steps under constraints.
 
     The strategy chooses how each state-constraint halfspace is
@@ -103,8 +103,7 @@ def wayset(sys, x_star, N, strategy="LP", keep_trace=False, passes=2):
     set (ending with the wayset itself) and stays empty unless
     ``keep_trace`` -- long horizons otherwise pile up large
     representations.  The wayset may come back empty (target not
-    reachable); test with is_empty.  ``passes`` tunes the IA
-    refinement sweeps.
+    reachable); test with is_empty.
     """
     strategy = str(strategy).upper()
     if strategy not in WAYSET_STRATEGIES:
@@ -127,7 +126,7 @@ def wayset(sys, x_star, N, strategy="LP", keep_trace=False, passes=2):
             Z = generalized_intersection(Z, x_conzono)
         else:
             for hs in sys.X.halfspaces():
-                if conzono_in_halfspace(Z, hs, strategy, passes):
+                if conzono_in_halfspace(Z, hs, strategy):
                     continue
                 Z = conzono_halfspace_intersection(Z, hs)
         if keep_trace:

@@ -3,8 +3,8 @@
 Two mechanisms, both exact (set equality is always preserved):
 
 * merging generator columns that are parallel within a tolerance --
-  for constrained zonotopes the test runs on the lifted zonotope
-  [G; A] so that constraint structure is respected;
+  for constrained zonotopes the test runs on the columns of [G; A]
+  so that constraint structure is respected;
 * eliminating a (constraint, generator) pair when interval refinement
   proves the generator's coefficient is already pinned inside [-1, 1]
   by the remaining constraints, via the closed-form transformation
@@ -15,9 +15,9 @@ import numpy as np
 
 from .halfspaces import DIV_TOL, _solved_ranges, interval_refine
 from .numerics import gauss_jordan_full_pivot
-from .sets import Zonotope, _make
+from .sets import _make
 
-# Default parallelism tolerance: |g_i @ g_j| / (|g_i| |g_j|) >= 1 - EPS.
+# Parallelism tolerance: |g_i @ g_j| / (|g_i| |g_j|) >= 1 - EPS_PARALLEL.
 EPS_PARALLEL = 1e-9
 
 # Slack allowed when testing R_{r,c} inside [-1, 1]; keeps exactly-tight
@@ -25,7 +25,7 @@ EPS_PARALLEL = 1e-9
 CONTAIN_TOL = 1e-9
 
 
-def _merge_columns(G, eps):
+def _merge_columns(G):
     """Merge near-parallel columns of G; returns (G_merged, changed)."""
     cols = [G[:, j].copy() for j in range(G.shape[1])]
     # Zero columns contribute nothing to the set; drop them outright.
@@ -38,7 +38,7 @@ def _merge_columns(G, eps):
             gi, gj = kept[i], kept[j]
             denom = np.linalg.norm(gi) * np.linalg.norm(gj)
             dot = float(gi @ gj)
-            if abs(dot) >= (1.0 - eps) * denom:
+            if abs(dot) >= (1.0 - EPS_PARALLEL) * denom:
                 kept[i] = gi + gj if dot >= 0.0 else gi - gj
                 kept.pop(j)
                 changed = True
@@ -54,51 +54,20 @@ def _merge_columns(G, eps):
     return np.zeros((G.shape[0], 0)), True
 
 
-def merge_parallel_generators(Z, eps=EPS_PARALLEL):
-    """Merge parallel generators of a zonotope.
+def merge_parallel_generators(Z):
+    """Merge generators that are parallel as columns of [G; A].
 
-    Columns with |g_i @ g_j| >= (1 - eps) |g_i| |g_j| collapse into
-    g_i + g_j (or g_i - g_j when anti-parallel).  Exact for truly
-    parallel columns; zero columns are dropped.
+    Columns with |g_i @ g_j| >= (1 - EPS_PARALLEL) |g_i| |g_j| collapse
+    into g_i + g_j (or g_i - g_j when anti-parallel), and zero columns
+    are dropped.  Stacking A under G makes the test respect the
+    constraints (a plain zonotope has no A rows), so merging truly
+    parallel columns preserves the set exactly.  Returns Z itself when
+    nothing merges.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if Z.n_c != 0:
-        raise ValueError("merge_parallel_generators needs a zonotope; "
-                         "use merge_parallel_lifted")
-    G, changed = _merge_columns(Z.G, eps)
-    return Zonotope(Z.c, G) if changed else Z
-
-
-def lift(Z):
-    """Lifted zonotope: stack the constraints into extra dimensions,
-    {[G; A], [c; -b]}.  The original set is the slice of the lifted one
-    where the last n_c coordinates vanish."""
-    if Z.n_c == 0:
-        return Zonotope(Z.c, Z.G)
-    return Zonotope(np.concatenate([Z.c, -Z.b]), np.vstack([Z.G, Z.A]))
-
-
-def _unlift(Zlift, n):
-    c = Zlift.c[:n]
-    b = -Zlift.c[n:]
-    G = Zlift.G[:n]
-    A = Zlift.G[n:]
-    return _make(c, G, A, b)
-
-
-def merge_parallel_lifted(Z, eps=EPS_PARALLEL):
-    """Merge generators of a constrained zonotope that are parallel in
-    the lifted [G; A] sense, preserving the represented set exactly."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if Z.n_c == 0:
-        return merge_parallel_generators(Z, eps)
-    lifted = lift(Z)
-    merged = merge_parallel_generators(lifted, eps)
-    if merged is lifted:
+    M, changed = _merge_columns(np.vstack([Z.G, Z.A]))
+    if not changed:
         return Z
-    return _unlift(merged, Z.n)
+    return _make(Z.c, M[:Z.n], M[Z.n:], Z.b)
 
 
 def eliminate_pair(Z, r, c):
@@ -136,7 +105,7 @@ def _canonical(Z):
     return _make(Z.c, Z.G[:, info["col_perm"]], R[:rank], d[:rank])
 
 
-def _redundant_pair(work, E, passes):
+def _redundant_pair(work, E):
     """Eliminate one removable pair of a canonical system whose all-rows
     refinement is E: (reduced set, its refinement), or None; see
     :func:`remove_redundant_pair` for the test."""
@@ -157,7 +126,7 @@ def _redundant_pair(work, E, passes):
                          for c in unit_cols(r, E.lo, E.hi)), reverse=True)
     for _, r, c in candidates:
         out = eliminate_pair(work, r, c)
-        E_out, _ = interval_refine(out, iterations=passes)
+        E_out, _ = interval_refine(out)
         if E_out.any_empty:
             continue
         # Column c is gone from out; put it back unrefined.
@@ -167,7 +136,7 @@ def _redundant_pair(work, E, passes):
     return None
 
 
-def remove_redundant_pair(Z, passes=2):
+def remove_redundant_pair(Z):
     """Try to eliminate one (constraint, generator) pair exactly.
 
     The constraints are brought to reduced row-echelon form by
@@ -192,13 +161,13 @@ def remove_redundant_pair(Z, passes=2):
     work = _canonical(Z)
     if work is None:
         return Z, False
-    E, _ = interval_refine(work, iterations=passes)
-    if (step := _redundant_pair(work, E, passes)) is not None:
+    E, _ = interval_refine(work)
+    if (step := _redundant_pair(work, E)) is not None:
         return step[0], True
     return (Z if work.n_c == Z.n_c else work), False
 
 
-def _strip_pairs(Z, passes=2):
+def _strip_pairs(Z):
     """Eliminate redundant pairs from one canonical form until none is
     left; the input object comes back when nothing changed.  Each
     candidate is verified on the set eliminate_pair returns, whose
@@ -208,21 +177,21 @@ def _strip_pairs(Z, passes=2):
     work = _canonical(Z)
     if work is None:
         return Z
-    E, _ = interval_refine(work, iterations=passes)
-    while (step := _redundant_pair(work, E, passes)) is not None:
+    E, _ = interval_refine(work)
+    while (step := _redundant_pair(work, E)) is not None:
         work, E = step
     return Z if work.n_c == Z.n_c else work
 
 
-def reduce_fully(Z, eps=EPS_PARALLEL, passes=2):
-    """Fixed point of lifted parallel merging and pair elimination.
+def reduce_fully(Z):
+    """Fixed point of parallel merging and pair elimination.
 
     Iterates until neither operation changes the representation.  The
     output can still contain redundancy the interval test cannot see;
     only set equality and the fixed point are guaranteed.
     """
     while True:
-        reduced = _strip_pairs(merge_parallel_lifted(Z, eps), passes)
+        reduced = _strip_pairs(merge_parallel_generators(Z))
         if reduced is Z:
             return Z
         Z = reduced

@@ -102,3 +102,44 @@ def test_only_numerics_and_oracle_import_linprog():
     users = {module for module in MODULES + ["__init__.py"]
              if any(map(_names_linprog, ast.walk(_parse(module))))}
     assert users == LINPROG_USERS
+
+
+def _package_names(tree):
+    """Names a module binds by importing from zonokit."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("zonokit")):
+            names |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names
+                      if alias.name.startswith("zonokit")}
+    return names
+
+
+def _root_name(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+# A module attribute changed at run time leaks into every other caller.
+def test_no_module_writes_another_modules_globals():
+    writes = []
+    for module in MODULES + ["__init__.py"]:
+        tree = _parse(module)
+        imported = _package_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            writes += [f"{module}:{node.lineno}" for target in targets
+                       for sub in ast.walk(target)
+                       if isinstance(sub, ast.Attribute)
+                       and isinstance(sub.ctx, ast.Store)
+                       and _root_name(sub) in imported]
+    assert not writes, f"assignments to imported zonokit names at {writes}"

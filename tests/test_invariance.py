@@ -49,8 +49,7 @@ def test_lqr_stabilizes(closed_loop):
 def test_lqr_rejects_nonstabilizable():
     # second state is uncontrollable and unstable
     with pytest.raises(NumericalError):
-        lqr_closed_loop([[2, 0], [0, 2]], [1.0, 0.0], np.eye(2), [[1.0]], W,
-                        max_iter=2000)
+        lqr_closed_loop([[2, 0], [0, 2]], [1.0, 0.0], np.eye(2), [[1.0]], W)
 
 
 class TestSystemValidation:

@@ -174,6 +174,18 @@ class TestCli:
         assert self.run("intersect", z, p, "--ia-passes", "3",
                         "-o", tmp_path / "out.json") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["info", "z.json", "--lp-tol", "0.5"],
+        ["wayset", "scenario", "--ia-passes", "3", "-o", "out.json"],
+    ], ids=["lp-tol", "ia-passes"])
+    def test_removed_options_are_usage_errors(self, tmp_path, argv, capsys):
+        write_set(tmp_path / "z.json", Zonotope([0.0, 0.0], np.eye(2)))
+        scenario = os.path.join(FIXTURES, "backward_reach_scenario.json")
+        paths = {"z.json": tmp_path / "z.json", "scenario": scenario,
+                 "out.json": tmp_path / "out.json"}
+        assert self.run(*[paths.get(a, a) for a in argv]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_pontryagin_onestep_with_a_zero_generator(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -198,6 +210,19 @@ class TestCli:
         write_set(z, ConstrainedZonotope([0.0, 0.0], G, [[1.0, 0.0, 0.0]],
                                          [0.0]))
         assert self.run("inner", z, "--order", "2", "-o", out) == 2
+
+    def test_inner_order_rejects_contain(self, tmp_path, capsys):
+        z = tmp_path / "z.json"
+        out = tmp_path / "out.json"
+        Z = Zonotope([0.0, 0.0], [[1.0, 0.0, 1.0, 0.5], [0.0, 1.0, 1.0, -0.5]])
+        write_set(z, Z)
+        # x is in Z but not in the order-2 reduction, which cannot be
+        # asked to contain a point
+        assert oracle.membership(Z, [2.5, -0.5])
+        assert self.run("inner", z, "--order", "2", "--contain", "2.5,-0.5",
+                        "-o", out) == 2
+        assert "--contain applies to --template" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self, capsys):
         assert self.run("frobnicate") == 1
@@ -227,29 +252,6 @@ class TestCli:
             assert self.run("halfspace", z, "--h", "3,1", "--f", "3",
                             "-o", out) == 0
         assert o1.read_text() == o2.read_text()
-
-
-class TestLpTol:
-    @pytest.fixture
-    def zono(self, tmp_path):
-        path = tmp_path / "z.json"
-        write_set(path, Zonotope([0.0, 0.0], np.eye(2)))
-        return str(path)
-
-    def test_scoped_to_one_invocation(self, tmp_path, zono, capsys):
-        before = numerics.LP_TOL
-        assert main(["info", zono, "--lp-tol", "0.5"]) == 0
-        assert numerics.LP_TOL == before
-        missing = str(tmp_path / "missing.json")
-        assert main(["info", missing, "--lp-tol", "0.5"]) == 2
-        assert numerics.LP_TOL == before
-
-    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "tight"])
-    def test_rejects_values_not_finite_and_positive(self, zono, value, capsys):
-        before = numerics.LP_TOL
-        assert main(["info", zono, "--lp-tol", value]) == 1
-        assert "--lp-tol" in capsys.readouterr().err
-        assert numerics.LP_TOL == before
 
 
 def test_console_entry_point(tmp_path):

@@ -20,12 +20,9 @@ from zonokit.halfspaces import DIV_TOL, _solved_ranges, interval_refine
 from zonokit.reach import wayset, wayset_reduce
 from zonokit.reduction import (
     CONTAIN_TOL,
-    EPS_PARALLEL,
     _canonical,
     eliminate_pair,
-    lift,
     merge_parallel_generators,
-    merge_parallel_lifted,
 )
 from zonokit import oracle
 
@@ -110,28 +107,15 @@ class TestParallelMerging:
         assert abs(M.G[0, 0]) == pytest.approx(6.0)
         assert oracle.sets_equal(M, Z)
 
-    def test_rejects_conzono_and_bad_eps(self):
-        Zc = ConstrainedZonotope([0.0], [[1.0]], [[1.0]], [0.5])
-        with pytest.raises(ValueError):
-            merge_parallel_generators(Zc)
-        with pytest.raises(ValueError):
-            merge_parallel_generators(SQUARE, eps=0.0)
-
     def test_lifted_merge_respects_constraints(self):
         # parallel in G but not in [G; A]: must NOT merge
         Za = ConstrainedZonotope([0.0], [[1.0, 2.0]], [[1.0, -1.0]], [0.5])
-        assert merge_parallel_lifted(Za).n_g == 2
-        # parallel in the lifted sense: merges, set unchanged
+        assert merge_parallel_generators(Za) is Za
+        # parallel as columns of [G; A]: merges, set unchanged
         Zb = ConstrainedZonotope([0.0], [[1.0, 2.0]], [[1.0, 2.0]], [0.5])
-        Mb = merge_parallel_lifted(Zb)
+        Mb = merge_parallel_generators(Zb)
         assert Mb.n_g == 1
         assert oracle.sets_equal(Mb, Zb)
-
-    def test_lift_roundtrip_shape(self):
-        rng = np.random.default_rng(2)
-        Z = make_conzono(rng, 2, 4, 2)
-        L = lift(Z)
-        assert L.n == Z.n + Z.n_c and L.n_g == Z.n_g and L.n_c == 0
 
 
 @settings(max_examples=15, deadline=None)
@@ -179,21 +163,21 @@ def test_remove_redundant_pair_canonicalizes_vacuous_rows():
     assert oracle.sets_equal(Zr, Z)
 
 
-def _pair_at_a_time(Z, passes=2):
+def _pair_at_a_time(Z):
     """Reference for the single-form loop: remove_redundant_pair until
     nothing is removed, every call re-canonicalizing from scratch."""
     while True:
-        Z, removed = remove_redundant_pair(Z, passes)
+        Z, removed = remove_redundant_pair(Z)
         if not removed:
             return Z
 
 
-def _reduce_fully_pair_at_a_time(Z, eps=EPS_PARALLEL, passes=2):
+def _reduce_fully_pair_at_a_time(Z):
     """Reference fixed point: one merge and one pair elimination a round."""
     current = Z
     while True:
-        merged = merge_parallel_lifted(current, eps)
-        reduced, removed = remove_redundant_pair(merged, passes)
+        merged = merge_parallel_generators(current)
+        reduced, removed = remove_redundant_pair(merged)
         if not removed and merged is current and reduced is merged:
             return current
         current = reduced
@@ -296,11 +280,11 @@ def test_one_gauss_jordan_per_reduction(monkeypatch):
     Zc = generalized_intersection(DIAMOND, SQUARE)
     assert wayset_reduce(Zc).n_c == 0 and len(gj) == 1  # two eliminations
 
-    merge = reduction.merge_parallel_lifted
+    merge = reduction.merge_parallel_generators
     constrained = []
     monkeypatch.setattr(
-        reduction, "merge_parallel_lifted",
-        lambda Z, eps: constrained.append(Z.n_c > 0) or merge(Z, eps))
+        reduction, "merge_parallel_generators",
+        lambda Z: constrained.append(Z.n_c > 0) or merge(Z))
     rng = np.random.default_rng(5)
     for Z in [Zc] + [make_conzono(rng, 2, 6, 3) for _ in range(3)]:
         gj.clear()
@@ -309,7 +293,7 @@ def test_one_gauss_jordan_per_reduction(monkeypatch):
         assert len(gj) == sum(constrained) >= 1
 
 
-def _substituted_pair(work, tally, passes=2):
+def _substituted_pair(work, tally):
     """Reference pair search: each candidate (r, c) is verified on a
     substituted system built apart from eliminate_pair -- the other rows
     with column c's solved expression folded in, column c kept.  Returns
@@ -317,7 +301,7 @@ def _substituted_pair(work, tally, passes=2):
     if work.n_c == 0:
         return None
     A, bb = work.A, work.b
-    E, _ = interval_refine(work, iterations=passes)
+    E, _ = interval_refine(work)
     if E.any_empty:
         return None
 
@@ -337,8 +321,7 @@ def _substituted_pair(work, tally, passes=2):
         A_sub = A[others] - np.outer(A[others, c] / a, A[r])
         b_sub = bb[others] - A[others, c] * (bb[r] / a)
         E_sub, _ = interval_refine(
-            ConstrainedZonotope(work.c, work.G, A_sub, b_sub),
-            iterations=passes)
+            ConstrainedZonotope(work.c, work.G, A_sub, b_sub))
         tally["verified"] += 1
         if not E_sub.any_empty and c in unit_cols(r, E_sub):
             return r, c
@@ -367,7 +350,7 @@ def _remove_redundant_pair_substituted(Z, tally):
 def _reduce_fully_substituted(Z, tally):
     while True:
         reduced = _strip_pairs_substituted(
-            merge_parallel_lifted(Z, EPS_PARALLEL), tally)
+            merge_parallel_generators(Z), tally)
         if reduced is Z:
             return Z
         Z = reduced
