@@ -112,7 +112,8 @@ def build_parser():
                    help="target generator count (plain zonotopes)")
     p.add_argument("--template", choices=TEMPLATE_KINDS,
                    default=None, help="template scaling (constrained sets)")
-    p.add_argument("--norm", choices=("1", "2", "inf"), default="inf")
+    p.add_argument("--norm", choices=("1", "2", "inf"), default=None,
+                   help="norm the template scaling maximizes (default inf)")
     p.add_argument("--contain", type=_vector, default=None,
                    help="point the approximation must contain")
     p.add_argument("-o", "--output", required=True)
@@ -209,11 +210,13 @@ def _run(args):
                 raise ValueError("--order applies to plain zonotopes")
             if args.contain is not None:
                 raise ValueError("--contain applies to --template")
+            if args.norm is not None:
+                raise ValueError("--norm applies to --template")
             write_set(out, inner_reduce_zonotope(Z, args.order))
         else:
             template = make_template(Z, args.template)
             pts = None if args.contain is None else [args.contain]
-            inner, _ = inner_scale(Z, template, norm=args.norm,
+            inner, _ = inner_scale(Z, template, norm=args.norm or "inf",
                                    must_contain=pts)
             write_set(out, inner)
     elif args.command == "hull":

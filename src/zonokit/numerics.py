@@ -1,12 +1,20 @@
-"""Dense LP abstraction and linear-algebra utilities.
+"""LP abstraction and linear-algebra utilities.
 
 Every optimization-backed operation in the package funnels through
 :func:`solve_lp`, so the solver backend (scipy's HiGHS) is swappable in
-exactly one place.  The module also provides Gauss-Jordan elimination
-with full pivoting, the dense kernel that canonicalizes constraints.
+exactly one place.  A :class:`LinearProgram` holds dense constraint
+arrays, but the blocks :class:`LpBuilder` assembles it from may be
+sparse (the Kronecker products of :func:`lin_coeff` are), and the dense
+arrays are the only dense copy a program makes: the builder scatters
+each block straight into them.  Programs with at least
+``SPARSE_ENTRIES`` constraint entries reach HiGHS as CSR; smaller ones
+go dense, which costs scipy less per call.  The module also provides
+Gauss-Jordan elimination with full pivoting, the dense kernel that
+canonicalizes constraints.
 """
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 
@@ -25,6 +33,10 @@ FAILURE = "numerical-failure"
 
 # Feasibility tolerance used when sanity-checking solver output.
 LP_TOL = 1e-6
+
+# Constraint entries (a_ub plus a_eq) from which solve_lp hands HiGHS
+# CSR arrays instead of dense ones.
+SPARSE_ENTRIES = 2 ** 16
 
 
 class LinearProgram:
@@ -96,12 +108,18 @@ def solve_lp(p):
 
     c = -p.objective if p.maximize else p.objective
     bounds = list(zip(p.lo, p.hi))
+    # Above the cutoff, scipy's dense intake copies the matrix twice
+    # before HiGHS sees it in compressed form.
+    if p.a_ub.size + p.a_eq.size >= SPARSE_ENTRIES:
+        a_ub, a_eq = sparse.csr_array(p.a_ub), sparse.csr_array(p.a_eq)
+    else:
+        a_ub, a_eq = p.a_ub, p.a_eq
     try:
         res = linprog(
             c,
-            A_ub=p.a_ub if p.a_ub.size else None,
+            A_ub=a_ub if p.a_ub.size else None,
             b_ub=p.b_ub if p.a_ub.size else None,
-            A_eq=p.a_eq if p.a_eq.size else None,
+            A_eq=a_eq if p.a_eq.size else None,
             b_eq=p.b_eq if p.a_eq.size else None,
             bounds=bounds,
             method="highs",
@@ -211,7 +229,10 @@ class LpBuilder:
 
     Blocks are vectors or matrices; matrices enter the flat variable
     vector in column-major order, so coefficient matrices built with
-    :func:`lin_coeff` line up with them.
+    :func:`lin_coeff` line up with them.  A row term is a dense array
+    or a scipy sparse matrix without duplicate entries (a duplicate
+    would overwrite, not add); :meth:`build` writes every term straight
+    into one dense array per constraint kind.
     """
 
     def __init__(self):
@@ -252,21 +273,25 @@ class LpBuilder:
         self._maximize = maximize
 
     def _assemble(self, rows):
-        mats, rhss = [], []
-        for terms, rhs in rows:
-            k = rhs.size
-            M = np.zeros((k, self._n))
+        if not rows:
+            return None, None
+        rhs = np.concatenate([rhs for _, rhs in rows])
+        M = np.zeros((rhs.size, self._n))
+        top = 0
+        for terms, group_rhs in rows:
+            k = group_rhs.size
             for name, coeff in terms.items():
+                off = self._offset[name]
+                if sparse.issparse(coeff):
+                    coeff = coeff.tocoo()
+                    M[top + coeff.row, off + coeff.col] = coeff.data
+                    continue
                 coeff = np.asarray(coeff, dtype=float)
                 if coeff.ndim == 1:
                     coeff = coeff.reshape(k, -1)
-                off = self._offset[name]
-                M[:, off:off + self.size(name)] = coeff
-            mats.append(M)
-            rhss.append(rhs)
-        if not mats:
-            return None, None
-        return np.vstack(mats), np.concatenate(rhss)
+                M[top:top + k, off:off + self.size(name)] = coeff
+            top += k
+        return M, rhs
 
     def build(self):
         c = np.zeros(self._n)
@@ -372,8 +397,14 @@ def _eq_touched(builder, name):
     """Mask of the entries of block ``name`` that some equality row uses."""
     touched = np.zeros(builder.size(name), dtype=bool)
     for terms, rhs in builder._eq:
-        if name in terms:
-            touched |= np.reshape(terms[name], (rhs.size, -1)).any(axis=0)
+        if name not in terms:
+            continue
+        coeff = terms[name]
+        if sparse.issparse(coeff):
+            coeff = coeff.tocoo()
+            touched[coeff.col[coeff.data != 0]] = True
+        else:
+            touched |= np.reshape(coeff, (rhs.size, -1)).any(axis=0)
     return touched
 
 
@@ -399,9 +430,11 @@ def lin_coeff(shape, left=None, right=None):
     """Coefficient matrix C with C @ vec(X) = vec(left @ X @ right).
 
     ``vec`` is column-major; ``shape`` is the shape of X; a missing
-    factor defaults to the identity.
+    factor defaults to the identity.  C is the sparse COO Kronecker
+    product kron(right.T, left): an identity factor makes it mostly
+    zeros.
     """
     r, c = shape
-    L = np.eye(r) if left is None else np.asarray(left, dtype=float)
-    R = np.eye(c) if right is None else np.asarray(right, dtype=float)
-    return np.kron(R.T, L)
+    L = sparse.identity(r) if left is None else np.asarray(left, dtype=float)
+    R = sparse.identity(c) if right is None else np.asarray(right, dtype=float)
+    return sparse.kron(R.T, L, format="coo")

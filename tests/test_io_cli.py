@@ -224,6 +224,30 @@ class TestCli:
         assert "--contain applies to --template" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_inner_order_rejects_norm(self, tmp_path, capsys):
+        z = tmp_path / "z.json"
+        out = tmp_path / "out.json"
+        write_set(z, Zonotope([0.0, 0.0],
+                              [[1.0, 0.0, 1.0, 0.5], [0.0, 1.0, 1.0, -0.5]]))
+        # the order reduction has no norm to choose, so a passed one is
+        # an error rather than silently ignored
+        for norm in ("1", "2", "inf"):
+            assert self.run("inner", z, "--order", "2", "--norm", norm,
+                            "-o", out) == 2
+            assert "--norm applies to --template" in capsys.readouterr().err
+            assert not out.exists()
+        assert self.run("inner", z, "--order", "2", "-o", out) == 0
+
+    def test_inner_template_norm_defaults_to_inf(self, tmp_path):
+        z = tmp_path / "z.json"
+        write_set(z, make_conzono(np.random.default_rng(3), 2, 4, 1))
+        outs = [tmp_path / f"{k}.json" for k in ("default", "inf", "one")]
+        for out, extra in zip(outs, ([], ["--norm", "inf"], ["--norm", "1"])):
+            assert self.run("inner", z, "--template", "box", *extra,
+                            "-o", out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert read_set(outs[2]).n == 2
+
     def test_usage_error_exit_code(self, capsys):
         assert self.run("frobnicate") == 1
         assert self.run("volume") == 1

@@ -1,18 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
+from zonokit import numerics
 from zonokit.numerics import (
     INFEASIBLE,
     OPTIMAL,
+    SPARSE_ENTRIES,
     UNBOUNDED,
     InfeasibleProgram,
     LinearProgram,
     LpBuilder,
+    _eq_touched,
     gauss_jordan_full_pivot,
+    lin_coeff,
     optimize_scaling,
     solve_lp,
 )
-from zonokit.containment import _coefficient_polytope
+from zonokit.containment import _coefficient_polytope, _zonotope_certificate
 
 
 class TestSolveLp:
@@ -238,3 +246,115 @@ class TestOptimizeScaling:
     def test_minimizing_the_2_norm_is_rejected(self):
         with pytest.raises(ValueError, match="use norm 1 or 'inf'"):
             optimize_scaling(scaling_builder(), "phi", "2", False)
+
+
+@pytest.mark.parametrize("left, right", [
+    (True, False), (False, True), (True, True), (False, False)])
+def test_lin_coeff_is_the_dense_kronecker_product(left, right):
+    rng = np.random.default_rng(0)
+    L = rng.normal(size=(4, 3)) if left else None
+    R = rng.normal(size=(5, 2)) if right else None
+    C = lin_coeff((3, 5), left=L, right=R)
+    assert sparse.issparse(C)
+    dense = np.kron(np.eye(5) if R is None else R.T,
+                    np.eye(3) if L is None else L)
+    assert np.array_equal(C.toarray(), dense)
+    # C @ vec(X) = vec(L X R), column-major vec
+    X = rng.normal(size=(3, 5))
+    LXR = (np.eye(3) if L is None else L) @ X @ (np.eye(5) if R is None else R)
+    assert np.allclose(C @ X.reshape(-1, order="F"), LXR.reshape(-1, order="F"))
+
+
+def test_builder_assembles_dense_flat_and_sparse_terms():
+    b = LpBuilder()
+    b.var("M", (2, 3))
+    b.var("v", 2, lo=0.0)
+    b.var("s", 1, hi=4.0)
+    L = np.array([[1.0, -2.0], [0.5, 3.0]])
+    S = lin_coeff((2, 3), left=L)
+    V = np.array([[1.0, 2.0], [-1.0, 0.0], [0.0, 5.0], [2.0, 2.0],
+                  [1.0, 1.0], [0.0, -3.0]])
+    b.eq({"M": S, "v": V}, np.arange(6.0))
+    b.eq({"s": [7.0], "v": [[1.0, -1.0]]}, [1.0])
+    b.le({"v": [1.0, 2.0], "M": sparse.csr_array(np.eye(1, 6, 4))}, [3.0])
+    b.objective({"s": [1.0]})
+    p = b.build()
+
+    a_eq = np.zeros((7, 9))
+    a_eq[:6, :6] = np.kron(np.eye(3), L)
+    a_eq[:6, 6:8] = V
+    a_eq[6, 6:9] = [1.0, -1.0, 7.0]
+    a_ub = np.array([[0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 2.0, 0.0]])
+    assert np.array_equal(p.a_eq, a_eq)
+    assert np.array_equal(p.b_eq, np.append(np.arange(6.0), 1.0))
+    assert np.array_equal(p.a_ub, a_ub)
+    assert np.array_equal(p.b_ub, [3.0])
+    assert np.array_equal(p.objective, np.eye(1, 9, 8)[0])
+    assert np.array_equal(p.lo, [-np.inf] * 6 + [0.0, 0.0, -np.inf])
+    assert np.array_equal(p.hi, [np.inf] * 8 + [4.0])
+
+
+def test_eq_touched_reads_sparse_terms_like_dense_ones():
+    # column 1 is never used; column 2 holds only a stored zero
+    coeff = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -2.0]])
+    stored_zero = sparse.coo_matrix(
+        ([1.0, -2.0, 0.0], ([0, 1, 1], [0, 3, 2])), shape=(2, 4))
+    masks = []
+    for term in (coeff, sparse.csr_array(coeff), stored_zero):
+        b = LpBuilder()
+        b.var("phi", 4, lo=0.0)
+        b.eq({"phi": term}, [1.0, 1.0])
+        masks.append(_eq_touched(b, "phi"))
+    for mask in masks:
+        assert np.array_equal(mask, [True, False, False, True])
+
+
+def containment_builder(n, n_gy, n_gx, seed=0):
+    """Builder loaded with the certificate of a random zonotope with
+    n_gx generators inside one with n_gy, both in R^n."""
+    rng = np.random.default_rng(seed)
+    G_y = rng.normal(size=(n, n_gy))
+    Gamma = rng.uniform(-1.0, 1.0, size=(n_gy, n_gx)) / (2 * n_gx)
+    b = LpBuilder()
+    _zonotope_certificate(b, G_y, [(G_y @ Gamma, False)], {},
+                          0.1 * G_y[:, 0])
+    b.objective({"g0p": np.ones(n_gy * n_gx), "g0n": np.ones(n_gy * n_gx)})
+    return b
+
+
+def test_build_allocates_little_beyond_the_program():
+    b = containment_builder(4, 30, 30)
+    tracemalloc.start()
+    try:
+        p = b.build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = p.a_ub.nbytes + p.a_eq.nbytes
+    assert arrays > 2 * 2**20
+    assert peak <= 1.1 * arrays
+
+
+@pytest.mark.parametrize("n_g, goes_sparse", [(20, False), (22, True)])
+def test_large_programs_reach_highs_as_csr(monkeypatch, n_g, goes_sparse):
+    p = containment_builder(2, n_g, n_g).build()
+    # the builder's contract: dense constraint arrays
+    assert type(p.a_ub) is np.ndarray and type(p.a_eq) is np.ndarray
+    entries = p.a_ub.size + p.a_eq.size
+    assert (entries >= SPARSE_ENTRIES) == goes_sparse
+    assert 0.75 * SPARSE_ENTRIES < entries < 1.1 * SPARSE_ENTRIES
+
+    handed = []
+
+    def recording_linprog(*args, **kwargs):
+        handed.append(sparse.issparse(kwargs["A_ub"])
+                      and sparse.issparse(kwargs["A_eq"]))
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "linprog", recording_linprog)
+    out = solve_lp(p)
+    assert handed == [goes_sparse]
+    assert out.status == OPTIMAL
+    ref = linprog(p.objective, A_ub=p.a_ub, b_ub=p.b_ub, A_eq=p.a_eq,
+                  b_eq=p.b_eq, bounds=list(zip(p.lo, p.hi)), method="highs")
+    assert np.array_equal(out.x, ref.x)
