@@ -51,7 +51,7 @@ from .containment import (
     make_template,
     zonotope_contains,
 )
-from .hull import convex_hull, convex_hull_with_point
+from .hull import convex_hull
 from .invariance import (
     AutonomousSystem,
     f_s,
@@ -87,7 +87,6 @@ __all__ = [
     "conzono_in_halfspace",
     "conzono_to_ah",
     "convex_hull",
-    "convex_hull_with_point",
     "f_s",
     "generalized_intersection",
     "hpolytope_to_conzono",

@@ -21,7 +21,7 @@ from .halfspaces import (
     conzono_halfspace_intersection,
     intersect_hpolytope,
 )
-from .hull import convex_hull, convex_hull_with_point
+from .hull import convex_hull
 from .invariance import AutonomousSystem, mrpi_iterative, rpi_onestep
 from .io import SchemaError, read_scenario, read_set, write_set
 from .numerics import NumericalError
@@ -222,10 +222,9 @@ def _run(args):
     elif args.command == "hull":
         a = _require_kind(read_set(args.a), "first operand")
         b = read_set(args.b)
-        if isinstance(b, np.ndarray):
-            write_set(out, convex_hull_with_point(a, b))
-        else:
-            write_set(out, convex_hull(a, _require_kind(b, "operand")))
+        if not isinstance(b, np.ndarray):
+            b = _require_kind(b, "operand")
+        write_set(out, convex_hull(a, b))
     elif args.command == "rpi":
         W = _require_kind(read_set(args.W), "W")
         sys_ = AutonomousSystem(args.dynamics, W)

@@ -5,6 +5,13 @@ small LPs whose feasible multipliers double as machine-checkable
 proofs.  The same machinery, with the inner set's generator lengths
 turned into decision variables, stretches a low-order template inside a
 constrained zonotope to build reduced-order inner approximations.
+
+Constrained zonotopes enter these programs as affine images of their
+coefficient polytopes, parametrized over a null-space basis of the
+constraints.  Any invertible affine reparametrization of either side
+maps certificates one to one, so the verdicts and optimal scalings do
+not depend on the basis.  The reduced row-echelon basis, mostly unit
+rows, keeps the programs sparse.
 """
 
 import numpy as np
@@ -17,6 +24,7 @@ from .numerics import (
     InfeasibleProgram,
     LpBuilder,
     NumericalError,
+    gauss_jordan_full_pivot,
     lin_coeff,
     optimize_scaling,
     solve_lp,
@@ -51,17 +59,23 @@ def _scaled_columns(G, T):
 def _coefficient_polytope(A, b):
     """Parametrize {xi : A xi = b, |xi| <= 1} as xi = s + T xi', H xi' <= f.
 
-    s is the least-norm least-squares solution (so A s = b whenever the
-    constraints are consistent, whatever A's rank), T an orthonormal
-    null-space basis with cols(A) - rank(A) columns, H = [T; -T] and
-    f = [1 - s; 1 + s]; ``live`` marks the nonzero rows of H.  Returns
+    Both come from the full-pivot reduced row-echelon form of [A | b]
+    (:func:`~zonokit.numerics.gauss_jordan_full_pivot`): s is d on the
+    pivot columns and 0 on the free ones (A s = b whenever the
+    constraints are consistent, whatever A's rank), and T = [-R_free; I]
+    under the column permutation, cols(A) - rank(A) columns with an
+    identity block on the free coefficients.  H = [T; -T] is therefore
+    mostly unit rows, which keeps the containment programs sparse; f =
+    [1 - s; 1 + s], and ``live`` marks the nonzero rows of H.  Returns
     ``(s, T, H, f, live)``.
     """
-    if A.shape[0] == 0:
-        s, T = np.zeros(A.shape[1]), np.eye(A.shape[1])
-    else:
-        s = np.linalg.lstsq(A, b, rcond=None)[0]
-        T = scipy.linalg.null_space(A)
+    R, d, info = gauss_jordan_full_pivot(A, b)
+    rank, perm, n = info["rank"], info["col_perm"], A.shape[1]
+    s = np.zeros(n)
+    s[perm[:rank]] = d[:rank]
+    T = np.zeros((n, n - rank))
+    T[perm[:rank]] = -R[:rank, rank:]
+    T[perm[rank:]] = np.eye(n - rank)
     H = np.vstack([T, -T])
     f = np.concatenate([1.0 - s, 1.0 + s])
     return s, T, H, f, np.abs(H).max(axis=1, initial=0.0) > 1e-12
@@ -289,11 +303,12 @@ def conzono_to_ah(Z):
     """Rewrite a constrained zonotope as an affine image of an H-polytope.
 
     The coefficient hyperplane A xi = b is parametrized as
-    xi = s + T xi' with s the least-norm particular solution and T a
-    null-space basis; the box bounds |xi| <= 1 become the H-polytope
-    [T; -T] xi' <= [1 - s; 1 + s] (rows where T vanishes are vacuous for
-    a nonempty set and are dropped).  A may have any rank; empty sets
-    are rejected.
+    xi = s + T xi' with s the reduced row-echelon particular solution
+    and T its sparse null-space basis (see :func:`_coefficient_polytope`;
+    no containment verdict depends on the basis).  The box bounds
+    |xi| <= 1 become the H-polytope [T; -T] xi' <= [1 - s; 1 + s] (rows
+    where T vanishes are vacuous for a nonempty set and are dropped).
+    A may have any rank; empty sets are rejected.
     """
     Z = as_conzono(Z)
     if is_empty(Z):
@@ -430,7 +445,13 @@ def make_template(Z_c, kind):
         raise EmptySetError("constraints are inconsistent; the set is empty")
 
     if kind in ("box", "zonotope"):
-        s, T, *_ = _coefficient_polytope(work.A, work.b)
+        # The zonotope template's shape depends on the basis: keep the
+        # least-norm centre and the orthonormal null-space basis here.
+        if work.n_c:
+            s = np.linalg.lstsq(work.A, work.b, rcond=None)[0]
+            T = scipy.linalg.null_space(work.A)
+        else:
+            s, T = np.zeros(work.n_g), np.eye(work.n_g)
         G = np.eye(work.n) if kind == "box" else work.G @ T
         return Zonotope(work.c + work.G @ s, G)
     if kind != "drop_pair":

@@ -66,14 +66,6 @@ class IntervalVector:
     def any_empty(self):
         return bool(self.empty_mask.any())
 
-    def intersect(self, other):
-        return IntervalVector(np.maximum(self.lo, other.lo),
-                              np.minimum(self.hi, other.hi))
-
-    def contains(self, x, tol=0.0):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return bool((x >= self.lo - tol).all() and (x <= self.hi + tol).all())
-
     def __len__(self):
         return self.lo.size
 

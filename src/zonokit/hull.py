@@ -22,6 +22,8 @@ def convex_hull(Z1, Z2):
     the operands' geometry; compose with reduce_fully to shrink the
     result.  Empty operands are rejected (the hull blocks would
     otherwise silently encode just the other operand's constraints).
+    A point operand enters as a zero-generator zonotope (see
+    as_conzono), so the hull of a set and a point has n_g2 = 0.
     """
     Z1 = as_conzono(Z1)
     Z2 = as_conzono(Z2)
@@ -59,12 +61,3 @@ def convex_hull(Z1, Z2):
     A = np.vstack([top1, top2, bottom])
     b = np.concatenate([0.5 * Z1.b, 0.5 * Z2.b, np.full(ns, -0.5)])
     return _make(c, G, A, b)
-
-
-def convex_hull_with_point(Z, x):
-    """Convex hull of a set and a single point.
-
-    The point enters as a zero-generator zonotope (see as_conzono), so
-    the result follows the binary hull's size formulas with n_g2 = 0.
-    """
-    return convex_hull(Z, x)

@@ -250,11 +250,6 @@ def rpi_onestep(sys, s, norm="inf"):
     return Zonotope(c, G * phi), ScalingResult(phi, c, read(x))
 
 
-def onestep_decision_vars(n_g, n_w, n):
-    """Mathematical unknown count of the rpi_onestep program."""
-    return n_g * n_g + n_g * (n_w + 2) + n
-
-
 def lqr_closed_loop(A, B, Q, R, W):
     """Discrete LQR closed loop A + B K, packaged as an AutonomousSystem.
 

@@ -138,8 +138,3 @@ def _maximize_template(b, Gt, norm):
     if best_row is not None:
         b.le({"phi": -best_row[None, :]}, np.array([1e-9 - best_value]))
     return optimize_scaling(b, "phi", "1", True)
-
-
-def onestep_decision_vars(n_g1, n_g2, n):
-    """Mathematical unknown count of the pontryagin_onestep program."""
-    return n_g1 * n_g1 + 2 * n_g1 * n_g2 + 2 * n_g1 + n_g2 + n

@@ -337,14 +337,3 @@ def is_empty(Z):
     """Emptiness of a constrained zonotope: LP feasibility of
     {A xi = b, ||xi||_inf <= 1}.  Zonotopes are never empty."""
     return Z.n_c != 0 and _coefficient_lp(Z) is None
-
-
-def feasible_point(Z):
-    """Some point of Z (the LP-produced feasible coefficient image).
-
-    Raises EmptySetError when Z is empty.
-    """
-    xi = _coefficient_lp(Z)
-    if xi is None:
-        raise EmptySetError("set is empty")
-    return Z.c + Z.G @ xi

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from zonokit import (
     ConstrainedZonotope,
@@ -12,15 +13,17 @@ from zonokit import (
     inner_reduce_zonotope,
     inner_scale,
     make_template,
+    wayset,
     zonotope_contains,
 )
-from zonokit import containment
+from zonokit import containment, numerics
 from zonokit.containment import (
     RESIDUAL_TOL,
     ah_containment_residual,
     zonotope_containment_residual,
 )
-from zonokit.numerics import _eq_touched, solve_lp
+from zonokit.numerics import NumericalError, _eq_touched, solve_lp
+from zonokit.reduction import _canonical
 from zonokit import oracle
 
 from conftest import make_zonotope
@@ -209,3 +212,120 @@ def normalised_norm2_climb(builder, phi_name, norm, maximize):
         prev = nrm
         x = maximize_along(phi / nrm if nrm > 0 else weights)
     return x
+
+
+def orthonormal_coefficient_polytope(A, b):
+    """Reference parametrization: the least-norm particular solution and
+    an orthonormal null-space basis."""
+    if A.shape[0] == 0:
+        s, T = np.zeros(A.shape[1]), np.eye(A.shape[1])
+    else:
+        s = np.linalg.lstsq(A, b, rcond=None)[0]
+        T = scipy.linalg.null_space(A)
+    H = np.vstack([T, -T])
+    f = np.concatenate([1.0 - s, 1.0 + s])
+    return s, T, H, f, np.abs(H).max(axis=1, initial=0.0) > 1e-12
+
+
+def random_conzono(rng, n, degeneracy):
+    """Nonempty random set whose A has a duplicated row, a dependent
+    row, or a row pinning one coefficient."""
+    n_g = int(rng.integers(n + 2, n + 5))
+    A = rng.normal(size=(int(rng.integers(1, 3)), n_g))
+    extra = {"duplicated": A[:1], "rank_deficient": A.sum(axis=0, keepdims=True),
+             "pinned": np.eye(n_g)[:1]}[degeneracy]
+    A = np.vstack([A, extra])
+    xi0 = rng.uniform(-0.8, 0.8, n_g)
+    return ConstrainedZonotope(rng.normal(size=n), rng.normal(size=(n, n_g)),
+                               A, A @ xi0)
+
+
+def scaling_outcome(target, template, norm, values):
+    """inner_scale's optimal value and the verdicts of scaled-in-target
+    and target-in-scaled, with every certificate checked; or the error
+    message when the program has no optimum."""
+    try:
+        scaled, result = inner_scale(target, template, norm=norm)
+    except NumericalError as exc:
+        return str(exc)
+    value, verdicts = values[-1], []
+    X, Y = conzono_to_ah(scaled), conzono_to_ah(target)
+    assert ah_containment_residual(X, Y, result.certificate) < RESIDUAL_TOL
+    for inner, outer in ((X, Y), (Y, X)):
+        cert = ah_contains(inner, outer)
+        verdicts.append(cert is not None)
+        if cert is not None:
+            assert ah_containment_residual(inner, outer, cert) < RESIDUAL_TOL
+    assert verdicts[0]
+    return value, verdicts
+
+
+@pytest.mark.parametrize("degeneracy", ["duplicated", "rank_deficient", "pinned"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_results_do_not_depend_on_the_null_space_basis(n, degeneracy, monkeypatch):
+    # Any invertible reparametrization of the coefficients maps
+    # certificates one to one, so the optimal scaling and every
+    # containment verdict are the same under the RREF and the
+    # orthonormal basis.  A pinned template coefficient's scale only
+    # moves the free centre, so its norm-1 program is unbounded under
+    # either basis.
+    rng = np.random.default_rng(100 * n + len(degeneracy))
+    values = []
+    solve = numerics.solve_lp
+
+    def record(p):
+        out = solve(p)
+        values.append(out.value)
+        return out
+
+    monkeypatch.setattr(numerics, "solve_lp", record)
+    for _ in range(2):
+        target = random_conzono(rng, n, degeneracy)
+        templates = [make_template(target, kind) for kind in containment.TEMPLATE_KINDS]
+        templates.append(random_conzono(rng, n, degeneracy))
+        for template in templates:
+            for norm in ("inf", "1"):
+                got = scaling_outcome(target, template, norm, values)
+                with monkeypatch.context() as m:
+                    m.setattr(containment, "_coefficient_polytope",
+                              orthonormal_coefficient_polytope)
+                    want = scaling_outcome(target, template, norm, values)
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                assert abs(got[0] - want[0]) <= 1e-9 * max(1.0, abs(want[0]))
+                assert got[1] == want[1]
+
+
+@pytest.fixture(scope="module")
+def wayset8(vehicle_scenario):
+    doc = vehicle_scenario
+    return wayset(doc.system, doc.x_star, 8, strategy="LP")[0]
+
+
+def test_scenario_drop_pair_program_stays_sparse(wayset8, monkeypatch):
+    # Under the RREF basis H = [T; -T] is mostly unit rows; the
+    # orthonormal basis filled the program with 105,855 nonzeros.
+    nnz = []
+    solve = numerics.solve_lp
+
+    def count(p):
+        nnz.append(sum(np.count_nonzero(a) for a in (p.a_ub, p.a_eq)
+                       if a is not None))
+        return solve(p)
+
+    monkeypatch.setattr(numerics, "solve_lp", count)
+    inner_scale(wayset8, make_template(wayset8, "drop_pair"))
+    assert nnz and max(nnz) <= 20_000
+
+
+def test_zonotope_and_box_templates_keep_the_orthonormal_basis(wayset8):
+    # The zonotope template's shape depends on the basis, so it keeps
+    # the least-norm centre and the orthonormal null-space basis.
+    for Z in (ZC, wayset8):
+        work = _canonical(Z)
+        centre = work.c + work.G @ np.linalg.lstsq(work.A, work.b, rcond=None)[0]
+        zono, box = make_template(Z, "zonotope"), make_template(Z, "box")
+        assert np.array_equal(zono.G, work.G @ scipy.linalg.null_space(work.A))
+        assert np.array_equal(box.G, np.eye(Z.n))
+        assert np.array_equal(zono.c, centre) and np.array_equal(box.c, centre)

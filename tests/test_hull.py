@@ -7,7 +7,6 @@ from zonokit import (
     Halfspace,
     Zonotope,
     convex_hull,
-    convex_hull_with_point,
     zonotope_halfspace_intersection,
 )
 from zonokit import oracle
@@ -79,7 +78,7 @@ def test_hull_area_matches_polygon_oracle():
 
 def test_hull_with_point():
     p = np.array([4.0, -3.0])
-    H = convex_hull_with_point(Z1, p)
+    H = convex_hull(Z1, p)
     assert oracle.membership(H, p, tol=1e-6)
     for d in oracle.directions(2, seed=7)[:30]:
         want = max(oracle.support_lp(Z1, d), float(d @ p))
@@ -90,7 +89,7 @@ def test_hull_argument_errors():
     with pytest.raises(ValueError):
         convex_hull(Z1, Zonotope.box([-1], [1]))
     with pytest.raises(ValueError):
-        convex_hull_with_point(Z1, [1.0, 2.0, 3.0])
+        convex_hull(Z1, [1.0, 2.0, 3.0])
     bad = ConstrainedZonotope([0.0, 0.0], np.eye(2), [[1.0, 0.0]], [5.0])
     with pytest.raises(EmptySetError):
         convex_hull(Z1, bad)

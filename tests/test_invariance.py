@@ -16,7 +16,8 @@ from zonokit import (
 )
 from zonokit.containment import zonotope_containment_residual
 from zonokit import invariance
-from zonokit.invariance import _w_hrep, onestep_decision_vars
+from zonokit.invariance import _w_hrep
+from zonokit import numerics
 from zonokit.numerics import NumericalError
 from zonokit import oracle
 
@@ -248,5 +249,14 @@ class TestRpiOnestep:
         assert all(r >= 1.0 - 1e-9 for r in ratios)
         assert ratios[0] >= ratios[1] >= ratios[2]
 
-    def test_decision_var_count(self):
-        assert onestep_decision_vars(6, 2, 2) == 36 + 6 * 4 + 2
+    def test_decision_var_count(self, closed_loop, monkeypatch):
+        # n_g^2 + n_g (n_w + 2) + n unknowns (Gamma1, Gamma2, beta, phi,
+        # c) at n_g = 6, n_w = n = 2, with Gamma1, Gamma2 and beta split
+        # into positive and negative parts, plus the inf-norm's bound.
+        n_vars = []
+        solve = numerics.solve_lp
+        monkeypatch.setattr(numerics, "solve_lp",
+                            lambda p: n_vars.append(p.n_vars) or solve(p))
+        assert f_s(closed_loop, 2).G.shape == (2, 6)
+        rpi_onestep(closed_loop, 2)
+        assert n_vars == [36 + 6 * 4 + 2 + (36 + 6 * 2 + 6) + 1]

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from zonokit import numerics
+from zonokit import ConstrainedZonotope, Zonotope, inner_scale, numerics
 from zonokit.numerics import (
     INFEASIBLE,
     OPTIMAL,
@@ -163,38 +163,45 @@ def test_gauss_jordan_flags_inconsistency():
     assert ok["zero_rows"]
 
 
-# Full row rank (wide and square), rank deficient (consistent), and no
-# constraints at all.
+# Full row rank (wide and square), rank deficient (consistent), no
+# constraints at all, and a pinned coefficient (xi_0 = 0.3).
 COEFFICIENT_SYSTEMS = [
     (np.array([[1.0, 2.0, 3.0]]), np.array([0.5])),
     (np.eye(3), np.array([0.1, 0.2, 0.3])),
     (np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]), np.array([0.5, 1.0])),
     (np.zeros((0, 3)), np.zeros(0)),
+    (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), np.array([0.3, 0.2])),
 ]
 
 
 def test_nullspace_basis():
+    # T spans the null space and holds an identity block on the free
+    # coefficients: each free coefficient is one of T's unit rows.
     for A, b in COEFFICIENT_SYSTEMS:
         _, T, H, _, _ = _coefficient_polytope(A, b)
         rank = np.linalg.matrix_rank(A) if A.size else 0
         assert T.shape == (A.shape[1], A.shape[1] - rank)
         assert np.allclose(A @ T, 0.0, atol=1e-12)
-        assert np.allclose(T.T @ T, np.eye(T.shape[1]), atol=1e-12)
+        assert all((T == e).all(axis=1).any() for e in np.eye(T.shape[1]))
         assert np.array_equal(H, np.vstack([T, -T]))
+    # The pinned coefficient's row of T is zero, so its facets are vacuous.
+    _, T, _, _, live = _coefficient_polytope(*COEFFICIENT_SYSTEMS[-1])
+    assert not T[0].any() and not live[0] and not live[3]
 
 
-def test_pinv_solve_least_squares():
+def test_particular_solution():
     for A, b in COEFFICIENT_SYSTEMS:
         s, _, _, f, _ = _coefficient_polytope(A, b)
         assert np.allclose(A @ s, b, atol=1e-12)
-        assert np.allclose(s, np.linalg.pinv(A) @ b, atol=1e-12)
         assert np.array_equal(f, np.concatenate([1.0 - s, 1.0 + s]))
-    # Inconsistent rows: s is the least-squares solution.
+    assert _coefficient_polytope(*COEFFICIENT_SYSTEMS[-1])[0][0] == 0.3
+    # Inconsistent rows have no solution, and inner_scale refuses a
+    # template built on them.
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    b = np.array([1.0, 2.0, 4.0])
-    s, *_ = _coefficient_polytope(A, b)
-    assert np.allclose(s, np.linalg.pinv(A) @ b)
-    assert np.abs(A @ s - b).max() > 0.1
+    b = np.array([0.1, 0.2, 0.5])
+    template = ConstrainedZonotope([0.0, 0.0], np.eye(2), A, b)
+    with pytest.raises(ValueError, match="template constraints are inconsistent"):
+        inner_scale(Zonotope.box([-1.0, -1.0], [1.0, 1.0]), template)
 
 
 def test_infeasible_program_exception_carries_status():

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from zonokit import EmptySetError, Zonotope, is_empty
-from zonokit.pontryagin import (
-    onestep_decision_vars,
-    pontryagin_iterative,
-    pontryagin_onestep,
-)
-from zonokit import oracle
+from zonokit.pontryagin import pontryagin_iterative, pontryagin_onestep
+from zonokit import numerics, oracle
 
 from conftest import make_zonotope
 
@@ -146,5 +142,14 @@ def test_reduce_steps_keeps_the_set():
     assert oracle.sets_equal(D_raw, D_red, grid=7)
 
 
-def test_decision_var_count():
-    assert onestep_decision_vars(4, 2, 2) == 16 + 16 + 8 + 2 + 2
+def test_decision_var_count(monkeypatch):
+    # n_g1^2 + 2 n_g1 n_g2 + 2 n_g1 + n_g2 + n unknowns (Gamma, beta,
+    # phi, c_d) at n_g1 = 4, n_g2 = n = 2, with Gamma and beta split into
+    # positive and negative parts.
+    n_vars = []
+    solve = numerics.solve_lp
+    monkeypatch.setattr(numerics, "solve_lp",
+                        lambda p: n_vars.append(p.n_vars) or solve(p))
+    Z1 = Zonotope([0.0, 0.0], [[1.0, 0.0, 1.0, 0.5], [0.0, 1.0, 1.0, -0.5]])
+    pontryagin_onestep(Z1, Zonotope([0.0, 0.0], 0.1 * np.eye(2)), norm="1")
+    assert n_vars == [16 + 16 + 8 + 2 + 2 + (16 + 16 + 4)]

@@ -14,7 +14,7 @@ from zonokit import (
     support,
     translate,
 )
-from zonokit.sets import as_conzono, feasible_point
+from zonokit.sets import as_conzono
 from zonokit import oracle
 
 from conftest import make_conzono, make_no_generators, make_zonotope
@@ -55,7 +55,7 @@ def test_translate_and_linear_map():
     rng = np.random.default_rng(1)
     Z = make_conzono(rng, 2, 5, 2)
     t = np.array([0.3, -1.2])
-    x = feasible_point(Z)
+    x = oracle.sample_inside(Z, 1, seed=1)[0]
     assert contains_point(translate(Z, t), x + t)
     R = np.array([[2.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
     M = linear_map(R, Z)
@@ -164,10 +164,12 @@ def test_empty_detection_and_feasible_point():
     bad = ConstrainedZonotope([0.0], [[1.0]], [[1.0]], [2.0])
     assert is_empty(bad)
     with pytest.raises(EmptySetError):
-        feasible_point(bad)
+        support(bad, [1.0])
+    # x1 pinned to 0.5: the one feasible point
     ok = ConstrainedZonotope([0.0], [[1.0]], [[1.0]], [0.5])
     assert not is_empty(ok)
-    assert contains_point(ok, feasible_point(ok))
+    assert contains_point(ok, [0.5])
+    assert not contains_point(ok, [0.4])
 
 
 @pytest.mark.parametrize("b, empty", [((0.0, 0.0), False), ((1e-8, 0.0), True)])
@@ -176,9 +178,9 @@ def test_zero_generator_sets_judge_constant_rows_at_tol(b, empty):
     assert is_empty(Z) == empty
     if empty:
         with pytest.raises(EmptySetError):
-            feasible_point(Z)
+            support(Z, [1.0, 0.0])
     else:
-        assert np.array_equal(feasible_point(Z), Z.c)
+        assert contains_point(Z, Z.c)
     for d in (1e-10, -1e-10):
         assert contains_point(Z, Z.c + d) == (not empty)
     for d in (1e-8, -1e-8):
