@@ -389,13 +389,16 @@ def inner_scale(Z_c, template, norm="inf", must_contain=None):
     n = target.n
 
     # The scaled template is {center + G diag(phi) (s_r + T_r xi') :
-    # Hx xi' <= fx}; its facets do not move with phi.
+    # Hx xi' <= fx}; its facets do not move with phi.  A pinned coefficient
+    # (zero row of T_r) only translates the set, which the free center
+    # absorbs, so its scale enters no equality row and sizes nothing.
+    pinned = ~live[:ngr]
     b = LpBuilder()
     b.var("phi", ngr, lo=0.0)
     b.var("center", n)
     read = _ah_certificate(b, outer, t.G, Hx[live], fx[live],
-                           {"center": np.eye(n), "phi": t.G * s_r},
-                           outer.xbar, T=T_r)
+                           {"center": np.eye(n), "phi": t.G * np.where(pinned, 0.0, s_r)},
+                           outer.xbar, T=np.where(pinned[:, None], 0.0, T_r))
 
     pts = [np.asarray(p, dtype=float).reshape(-1) for p in (must_contain or [])]
     if pts and t.n_c:
@@ -419,7 +422,7 @@ def inner_scale(Z_c, template, norm="inf", must_contain=None):
             "(are the must_contain points inside it?)") from None
 
     phi = np.maximum(b.value(x, "phi"), 0.0)
-    center = b.value(x, "center")
+    center = b.value(x, "center") - t.G[:, pinned] @ (phi * s_r)[pinned]
     scaled = _make(center, t.G * phi, t.A, t.b)
     return scaled, ScalingResult(phi, center, read(x))
 

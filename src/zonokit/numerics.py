@@ -2,15 +2,13 @@
 
 Every optimization-backed operation in the package funnels through
 :func:`solve_lp`, so the solver backend (scipy's HiGHS) is swappable in
-exactly one place.  A :class:`LinearProgram` holds dense constraint
-arrays, but the blocks :class:`LpBuilder` assembles it from may be
-sparse (the Kronecker products of :func:`lin_coeff` are), and the dense
-arrays are the only dense copy a program makes: the builder scatters
-each block straight into them.  Programs with at least
-``SPARSE_ENTRIES`` constraint entries reach HiGHS as CSR; smaller ones
-go dense, which costs scipy less per call.  The module also provides
-Gauss-Jordan elimination with full pivoting, the dense kernel that
-canonicalizes constraints.
+exactly one place.  A :class:`LinearProgram` holds its constraint
+matrices as given, dense or CSR; :class:`LpBuilder` assembles CSR from
+its blocks' nonzeros, so a built program has no dense copy.  Programs
+with at least ``SPARSE_ENTRIES`` constraint entries reach HiGHS as CSR;
+smaller ones go dense, which costs scipy less per call.  The module
+also provides Gauss-Jordan elimination with full pivoting, the dense
+kernel that canonicalizes constraints.
 """
 
 import numpy as np
@@ -34,25 +32,26 @@ FAILURE = "numerical-failure"
 # Feasibility tolerance used when sanity-checking solver output.
 LP_TOL = 1e-6
 
-# Constraint entries (a_ub plus a_eq) from which solve_lp hands HiGHS
-# CSR arrays instead of dense ones.
+# Constraint entries (rows of A_ub and A_eq times variables) from which
+# solve_lp hands HiGHS CSR arrays instead of dense ones.
 SPARSE_ENTRIES = 2 ** 16
 
 
 class LinearProgram:
     """minimize (or maximize) objective @ x subject to
 
-        a_ub @ x <= b_ub,    a_eq @ x == b_eq,    lo <= x <= hi
+        A_ub @ x <= b_ub,    A_eq @ x == b_eq,    lo <= x <= hi
 
-    with lo/hi allowing +-inf entries.
+    with lo/hi allowing +-inf entries.  ``A_ub`` and ``A_eq`` are kept as
+    given, dense arrays or scipy sparse matrices (stored as CSR).
     """
 
     def __init__(self, objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
                  lo=None, hi=None, maximize=False):
         self.objective = np.asarray(objective, dtype=float).reshape(-1)
         n = self.objective.size
-        self.a_ub, self.b_ub = _check_rows(a_ub, b_ub, n, "a_ub")
-        self.a_eq, self.b_eq = _check_rows(a_eq, b_eq, n, "a_eq")
+        self.A_ub, self.b_ub = _check_rows(a_ub, b_ub, n, "a_ub")
+        self.A_eq, self.b_eq = _check_rows(a_eq, b_eq, n, "a_eq")
         self.lo = np.full(n, -np.inf) if lo is None else np.asarray(lo, dtype=float).reshape(-1)
         self.hi = np.full(n, np.inf) if hi is None else np.asarray(hi, dtype=float).reshape(-1)
         if self.lo.size != n or self.hi.size != n:
@@ -63,11 +62,20 @@ class LinearProgram:
     def n_vars(self):
         return self.objective.size
 
+    a_ub = property(lambda self: _dense(self.A_ub), doc=(
+        "Dense copy of A_ub, made on every read.  Only the benchmark's traced "
+        "LP counter reads it, until that counter reads A_ub.nnz."))
+    a_eq = property(lambda self: _dense(self.A_eq), doc="Dense copy of A_eq; see a_ub.")
+
+
+def _dense(a):
+    return a.toarray() if sparse.issparse(a) else a
+
 
 def _check_rows(a, b, n, name):
     if a is None:
         return np.zeros((0, n)), np.zeros(0)
-    a = np.asarray(a, dtype=float)
+    a = sparse.csr_array(a, dtype=float) if sparse.issparse(a) else np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError(f"{name} must be a matrix with {n} columns")
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -108,19 +116,17 @@ def solve_lp(p):
 
     c = -p.objective if p.maximize else p.objective
     bounds = list(zip(p.lo, p.hi))
+    m_ub, m_eq = p.A_ub.shape[0], p.A_eq.shape[0]
     # Above the cutoff, scipy's dense intake copies the matrix twice
     # before HiGHS sees it in compressed form.
-    if p.a_ub.size + p.a_eq.size >= SPARSE_ENTRIES:
-        a_ub, a_eq = sparse.csr_array(p.a_ub), sparse.csr_array(p.a_eq)
-    else:
-        a_ub, a_eq = p.a_ub, p.a_eq
+    form = sparse.csr_array if (m_ub + m_eq) * n >= SPARSE_ENTRIES else _dense
     try:
         res = linprog(
             c,
-            A_ub=a_ub if p.a_ub.size else None,
-            b_ub=p.b_ub if p.a_ub.size else None,
-            A_eq=a_eq if p.a_eq.size else None,
-            b_eq=p.b_eq if p.a_eq.size else None,
+            A_ub=form(p.A_ub) if m_ub else None,
+            b_ub=p.b_ub if m_ub else None,
+            A_eq=form(p.A_eq) if m_eq else None,
+            b_eq=p.b_eq if m_eq else None,
             bounds=bounds,
             method="highs",
         )
@@ -143,9 +149,9 @@ def solve_lp(p):
 
 def _feasible(p, x, tol):
     scale = max(1.0, float(np.abs(x).max(initial=0.0)))
-    if p.a_ub.size and (p.a_ub @ x - p.b_ub).max(initial=-np.inf) > tol * scale:
+    if (p.A_ub @ x - p.b_ub).max(initial=-np.inf) > tol * scale:
         return False
-    if p.a_eq.size and np.abs(p.a_eq @ x - p.b_eq).max(initial=0.0) > tol * scale:
+    if np.abs(p.A_eq @ x - p.b_eq).max(initial=0.0) > tol * scale:
         return False
     if (x - p.hi).max(initial=-np.inf) > tol or (p.lo - x).max(initial=-np.inf) > tol:
         return False
@@ -230,9 +236,10 @@ class LpBuilder:
     Blocks are vectors or matrices; matrices enter the flat variable
     vector in column-major order, so coefficient matrices built with
     :func:`lin_coeff` line up with them.  A row term is a dense array
-    or a scipy sparse matrix without duplicate entries (a duplicate
-    would overwrite, not add); :meth:`build` writes every term straight
-    into one dense array per constraint kind.
+    or a scipy sparse matrix (duplicate entries add, as in scipy's COO
+    format).  :meth:`build` gathers the nonzeros of every term into one
+    canonical CSR matrix per constraint kind: sorted indices, no stored
+    zeros, and no dense copy on the way.
     """
 
     def __init__(self):
@@ -272,25 +279,33 @@ class LpBuilder:
         self._obj = terms
         self._maximize = maximize
 
+    def _coo(self, name, coeff, k):
+        """A k-row term on block ``name`` as COO."""
+        if np.ndim(coeff) == 1:
+            coeff = np.reshape(coeff, (k, -1))
+        coeff = sparse.coo_array(coeff, dtype=float)  # a dense term's nonzeros
+        if coeff.shape != (k, self.size(name)):
+            raise ValueError(f"term {name!r} is {coeff.shape}, not {(k, self.size(name))}")
+        return coeff
+
     def _assemble(self, rows):
         if not rows:
             return None, None
         rhs = np.concatenate([rhs for _, rhs in rows])
-        M = np.zeros((rhs.size, self._n))
+        none = np.zeros(0, dtype=int)
+        i, j, v = [none], [none], [np.zeros(0)]
         top = 0
         for terms, group_rhs in rows:
-            k = group_rhs.size
             for name, coeff in terms.items():
-                off = self._offset[name]
-                if sparse.issparse(coeff):
-                    coeff = coeff.tocoo()
-                    M[top + coeff.row, off + coeff.col] = coeff.data
-                    continue
-                coeff = np.asarray(coeff, dtype=float)
-                if coeff.ndim == 1:
-                    coeff = coeff.reshape(k, -1)
-                M[top:top + k, off:off + self.size(name)] = coeff
-            top += k
+                coeff = self._coo(name, coeff, group_rhs.size)
+                i.append(top + coeff.row)
+                j.append(self._offset[name] + coeff.col)
+                v.append(coeff.data)
+            top += group_rhs.size
+        # int32 indices, as scipy picks for a dense matrix of this size
+        i, j = np.concatenate(i, dtype=np.int32), np.concatenate(j, dtype=np.int32)
+        M = sparse.csr_array((np.concatenate(v), (i, j)), shape=(rhs.size, self._n))
+        M.eliminate_zeros()  # stored zeros of sparse terms
         return M, rhs
 
     def build(self):
@@ -397,14 +412,9 @@ def _eq_touched(builder, name):
     """Mask of the entries of block ``name`` that some equality row uses."""
     touched = np.zeros(builder.size(name), dtype=bool)
     for terms, rhs in builder._eq:
-        if name not in terms:
-            continue
-        coeff = terms[name]
-        if sparse.issparse(coeff):
-            coeff = coeff.tocoo()
+        if name in terms:
+            coeff = builder._coo(name, terms[name], rhs.size)
             touched[coeff.col[coeff.data != 0]] = True
-        else:
-            touched |= np.reshape(coeff, (rhs.size, -1)).any(axis=0)
     return touched
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,8 +268,8 @@ def test_results_do_not_depend_on_the_null_space_basis(n, degeneracy, monkeypatc
     # certificates one to one, so the optimal scaling and every
     # containment verdict are the same under the RREF and the
     # orthonormal basis.  A pinned template coefficient's scale only
-    # moves the free centre, so its norm-1 program is unbounded under
-    # either basis.
+    # moves the free centre, so it sizes nothing under either basis and
+    # the norm-1 program stays bounded.
     rng = np.random.default_rng(100 * n + len(degeneracy))
     values = []
     solve = numerics.solve_lp
@@ -290,9 +291,7 @@ def test_results_do_not_depend_on_the_null_space_basis(n, degeneracy, monkeypatc
                     m.setattr(containment, "_coefficient_polytope",
                               orthonormal_coefficient_polytope)
                     want = scaling_outcome(target, template, norm, values)
-                if isinstance(want, str):
-                    assert got == want
-                    continue
+                assert not isinstance(want, str) and not isinstance(got, str)
                 assert abs(got[0] - want[0]) <= 1e-9 * max(1.0, abs(want[0]))
                 assert got[1] == want[1]
 
@@ -305,18 +304,27 @@ def wayset8(vehicle_scenario):
 
 def test_scenario_drop_pair_program_stays_sparse(wayset8, monkeypatch):
     # Under the RREF basis H = [T; -T] is mostly unit rows; the
-    # orthonormal basis filled the program with 105,855 nonzeros.
-    nnz = []
+    # orthonormal basis filled the program with 105,855 nonzeros.  The
+    # builder stores it as CSR, so solving it allocates a small part of
+    # its dense footprint.
+    programs = []
     solve = numerics.solve_lp
 
     def count(p):
-        nnz.append(sum(np.count_nonzero(a) for a in (p.a_ub, p.a_eq)
-                       if a is not None))
+        rows = p.A_ub.shape[0] + p.A_eq.shape[0]
+        programs.append((p.A_ub.nnz + p.A_eq.nnz, rows * p.n_vars * 8))
         return solve(p)
 
     monkeypatch.setattr(numerics, "solve_lp", count)
-    inner_scale(wayset8, make_template(wayset8, "drop_pair"))
-    assert nnz and max(nnz) <= 20_000
+    template = make_template(wayset8, "drop_pair")
+    tracemalloc.start()
+    try:
+        inner_scale(wayset8, template)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert programs and max(nnz for nnz, _ in programs) <= 20_000
+    assert peak < max(dense for _, dense in programs) / 4
 
 
 def test_zonotope_and_box_templates_keep_the_orthonormal_basis(wayset8):

@@ -143,3 +143,13 @@ def test_no_module_writes_another_modules_globals():
                        and isinstance(sub.ctx, ast.Store)
                        and _root_name(sub) in imported]
     assert not writes, f"assignments to imported zonokit names at {writes}"
+
+
+# LinearProgram.a_ub and .a_eq densify on every read; they serve the
+# benchmark's traced LP counter, and the library reads A_ub and A_eq.
+def test_library_reads_no_dense_program_views():
+    reads = [f"{module}:{node.lineno}" for module in MODULES + ["__init__.py"]
+             for node in ast.walk(_parse(module))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("a_ub", "a_eq")]
+    assert not reads, f"dense LinearProgram views read at {reads}"

@@ -248,6 +248,22 @@ class TestCli:
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert read_set(outs[2]).n == 2
 
+    @pytest.mark.parametrize("norm", ["1", "2"])
+    def test_inner_template_with_a_pinned_coefficient(self, tmp_path, norm):
+        # drop_pair removes one pinned coefficient and keeps the other,
+        # whose scale only translates the template; the fit fills Z
+        z = tmp_path / "z.json"
+        out = tmp_path / "out.json"
+        Z = ConstrainedZonotope([0.0, 0.0], [[1.0, 0.0, 1.0, 0.5],
+                                             [0.0, 1.0, 1.0, -0.5]],
+                                [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+                                [0.5, -0.2])
+        write_set(z, Z)
+        assert self.run("inner", z, "--template", "drop_pair", "--norm", norm,
+                        "-o", out) == 0
+        inner = read_set(out)
+        assert oracle.volume_ratio(inner, Z) > 0.99
+
     def test_usage_error_exit_code(self, capsys):
         assert self.run("frobnicate") == 1
         assert self.run("volume") == 1

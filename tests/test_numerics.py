@@ -292,9 +292,12 @@ def test_builder_assembles_dense_flat_and_sparse_terms():
     a_eq[:6, 6:8] = V
     a_eq[6, 6:9] = [1.0, -1.0, 7.0]
     a_ub = np.array([[0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 2.0, 0.0]])
-    assert np.array_equal(p.a_eq, a_eq)
+    for got, want in ((p.A_eq, a_eq), (p.A_ub, a_ub)):
+        assert sparse.issparse(got) and got.format == "csr"
+        assert np.array_equal(got.toarray(), want)
+        assert got.has_canonical_format
+        assert (got.data != 0).all()
     assert np.array_equal(p.b_eq, np.append(np.arange(6.0), 1.0))
-    assert np.array_equal(p.a_ub, a_ub)
     assert np.array_equal(p.b_ub, [3.0])
     assert np.array_equal(p.objective, np.eye(1, 9, 8)[0])
     assert np.array_equal(p.lo, [-np.inf] * 6 + [0.0, 0.0, -np.inf])
@@ -330,6 +333,7 @@ def containment_builder(n, n_gy, n_gx, seed=0):
 
 
 def test_build_allocates_little_beyond_the_program():
+    # The program's dense arrays would be 2.2 MiB; its CSR is 0.1 MiB.
     b = containment_builder(4, 30, 30)
     tracemalloc.start()
     try:
@@ -337,31 +341,125 @@ def test_build_allocates_little_beyond_the_program():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    arrays = p.a_ub.nbytes + p.a_eq.nbytes
-    assert arrays > 2 * 2**20
-    assert peak <= 1.1 * arrays
+    stored = sum(a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+                 for a in (p.A_ub, p.A_eq))
+    dense = (p.b_ub.size + p.b_eq.size) * p.n_vars * 8
+    assert dense > 2 * 2**20 > 10 * stored
+    assert peak <= 4 * stored
+
+
+def dense_twin(p):
+    """The same program with dense constraint arrays."""
+    return LinearProgram(p.objective, a_ub=p.a_ub, b_ub=p.b_ub,
+                         a_eq=p.a_eq, b_eq=p.b_eq, lo=p.lo,
+                         hi=p.hi, maximize=p.maximize)
 
 
 @pytest.mark.parametrize("n_g, goes_sparse", [(20, False), (22, True)])
 def test_large_programs_reach_highs_as_csr(monkeypatch, n_g, goes_sparse):
     p = containment_builder(2, n_g, n_g).build()
-    # the builder's contract: dense constraint arrays
-    assert type(p.a_ub) is np.ndarray and type(p.a_eq) is np.ndarray
-    entries = p.a_ub.size + p.a_eq.size
+    # the builder stores CSR at any size
+    assert p.A_ub.format == "csr" and p.A_eq.format == "csr"
+    entries = (p.b_ub.size + p.b_eq.size) * p.n_vars
     assert (entries >= SPARSE_ENTRIES) == goes_sparse
     assert 0.75 * SPARSE_ENTRIES < entries < 1.1 * SPARSE_ENTRIES
 
     handed = []
 
     def recording_linprog(*args, **kwargs):
-        handed.append(sparse.issparse(kwargs["A_ub"])
-                      and sparse.issparse(kwargs["A_eq"]))
+        handed.append([sparse.issparse(kwargs["A_ub"]),
+                       sparse.issparse(kwargs["A_eq"])])
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(numerics, "linprog", recording_linprog)
     out = solve_lp(p)
-    assert handed == [goes_sparse]
+    # a direct caller's dense program takes the same route
+    twin = solve_lp(dense_twin(p))
+    assert handed == [[goes_sparse] * 2] * 2
     assert out.status == OPTIMAL
-    ref = linprog(p.objective, A_ub=p.a_ub, b_ub=p.b_ub, A_eq=p.a_eq,
-                  b_eq=p.b_eq, bounds=list(zip(p.lo, p.hi)), method="highs")
+    ref = linprog(p.objective, A_ub=p.A_ub.toarray(), b_ub=p.b_ub,
+                  A_eq=p.A_eq.toarray(), b_eq=p.b_eq,
+                  bounds=list(zip(p.lo, p.hi)), method="highs")
     assert np.array_equal(out.x, ref.x)
+    assert np.array_equal(twin.x, ref.x)
+
+
+def edge_case_programs():
+    """Builders for the corners of assembly: an all-zero term, a row
+    group whose terms all vanish, a zero-size block, a sparse term with a
+    stored zero, and a program with no variables."""
+    def zero_term():
+        b = LpBuilder()
+        b.var("x", 2, lo=-1.0, hi=1.0)
+        b.var("y", 3, lo=-1.0, hi=1.0)
+        b.le({"x": np.zeros((1, 2)), "y": [[1.0, 2.0, 0.0]]}, [0.5])
+        b.objective({"y": [-1.0, -1.0, 1.0]})
+        return b
+
+    def vanishing_group(rhs):
+        b = LpBuilder()
+        b.var("x", 2, lo=0.0, hi=1.0)
+        b.eq({"x": np.zeros((2, 2))}, rhs)
+        b.le({"x": [[1.0, 1.0]]}, [1.5])
+        b.objective({"x": [1.0, 2.0]}, maximize=True)
+        return b
+
+    def empty_block():
+        b = LpBuilder()
+        b.var("x", 2, lo=-1.0, hi=1.0)
+        b.var("nothing", (3, 0))
+        b.eq({"x": [[1.0, -1.0]], "nothing": np.zeros((1, 0))}, [0.5])
+        b.le({"nothing": sparse.csr_array((1, 0)), "x": [[0.0, 1.0]]}, [0.2])
+        b.objective({"x": [1.0, 1.0]}, maximize=True)
+        return b
+
+    def stored_zero():
+        b = LpBuilder()
+        b.var("x", 3, lo=0.0)
+        b.eq({"x": sparse.coo_array(([1.0, 0.0, 1.0], ([0, 0, 0], [0, 1, 2])),
+                                    shape=(1, 3))}, [1.0])
+        b.objective({"x": [2.0, 1.0, 3.0]})
+        return b
+
+    def no_variables(rhs):
+        b = LpBuilder()
+        b.le({}, rhs)
+        return b
+
+    return {"zero_term": zero_term(), "vanishing_group": vanishing_group([0.0, 0.0]),
+            "vanishing_infeasible": vanishing_group([0.0, 1.0]),
+            "empty_block": empty_block(), "stored_zero": stored_zero(),
+            "no_variables": no_variables([1.0]),
+            "no_variables_infeasible": no_variables([-1.0])}
+
+
+@pytest.mark.parametrize("case", sorted(edge_case_programs()))
+def test_edge_case_programs_solve_like_their_dense_twins(case):
+    p = edge_case_programs()[case].build()
+    for a in (p.A_ub, p.A_eq):
+        if sparse.issparse(a):
+            assert a.has_canonical_format and (a.data != 0).all()
+    got, want = solve_lp(p), solve_lp(dense_twin(p))
+    assert got.status == want.status
+    if want.ok:
+        assert np.array_equal(got.x, want.x) and got.value == want.value
+
+
+def test_program_built_from_a_csr_array():
+    A = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 1.0]])
+    kw = dict(b_ub=[1.0, 0.5], lo=[0.0] * 3, hi=[2.0] * 3, maximize=True)
+    p = LinearProgram([1.0, 1.0, 1.0], a_ub=sparse.csr_array(A), **kw)
+    assert p.A_ub.format == "csr" and np.array_equal(p.a_ub, A)
+    got, want = solve_lp(p), solve_lp(LinearProgram([1.0, 1.0, 1.0], a_ub=A, **kw))
+    assert got.status == want.status == OPTIMAL
+    assert np.array_equal(got.x, want.x)
+
+
+def test_a_term_of_the_wrong_shape_is_rejected():
+    # a term one column short would otherwise spill into the next block
+    b = LpBuilder()
+    b.var("x", 3)
+    b.var("y", 2)
+    b.eq({"x": np.ones((1, 2))}, [1.0])
+    with pytest.raises(ValueError, match="term 'x'"):
+        b.build()
