@@ -25,7 +25,6 @@ from .sets import (
 from .numerics import LinearProgram, LpOutcome, NumericalError, solve_lp
 from .halfspaces import (
     IntervalVector,
-    conzono_halfspace_feasible,
     conzono_halfspace_intersection,
     conzono_hyperplane_range,
     conzono_in_halfspace,
@@ -81,7 +80,6 @@ __all__ = [
     "Zonotope",
     "ah_contains",
     "contains_point",
-    "conzono_halfspace_feasible",
     "conzono_halfspace_intersection",
     "conzono_hyperplane_range",
     "conzono_in_halfspace",

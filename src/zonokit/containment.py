@@ -20,14 +20,12 @@ import scipy.linalg
 from .halfspaces import interval_refine
 from .reduction import _canonical, eliminate_pair
 from .numerics import (
-    INFEASIBLE,
-    InfeasibleProgram,
     LpBuilder,
     NumericalError,
+    _optimum,
     gauss_jordan_full_pivot,
     lin_coeff,
     optimize_scaling,
-    solve_lp,
 )
 from .sets import (
     EmptySetError,
@@ -192,12 +190,8 @@ def _ah_certificate(b, Y, X_x, Hx, fx, center, rhs, T=None):
 
 def _certify(b, read):
     """Solve a containment program: its certificate, or None if infeasible."""
-    out = solve_lp(b.build())
-    if out.status == INFEASIBLE:
-        return None
-    if not out.ok:
-        raise NumericalError(f"containment LP failed: {out.status}")
-    return read(out.x)
+    x = _optimum(b.build())
+    return None if x is None else read(x)
 
 
 class AhPolytope:
@@ -414,12 +408,11 @@ def inner_scale(Z_c, template, norm="inf", must_contain=None):
         b.le({name: eye_g, "phi": -eye_g}, np.zeros(ngr))
         b.le({name: -eye_g, "phi": -eye_g}, np.zeros(ngr))
 
-    try:
-        x = optimize_scaling(b, "phi", norm, maximize=True)
-    except InfeasibleProgram:
+    x = optimize_scaling(b, "phi", norm, maximize=True)
+    if x is None:
         raise ValueError(
             "no scaling of the template fits inside the target set "
-            "(are the must_contain points inside it?)") from None
+            "(are the must_contain points inside it?)")
 
     phi = np.maximum(b.value(x, "phi"), 0.0)
     center = b.value(x, "center") - t.G[:, pinned] @ (phi * s_r)[pinned]

@@ -14,14 +14,12 @@ halfspace before a cut is folded into the representation:
 
 import numpy as np
 
-from .numerics import (LinearProgram, solve_lp, INFEASIBLE, UNBOUNDED,
-                       NumericalError)
+from .numerics import LinearProgram, solve_lp, INFEASIBLE, UNBOUNDED
 from .sets import (
     ConstrainedZonotope,
     EmptySetError,
     Halfspace,
     Zonotope,
-    _coefficient_lp,
     _lp_support,
     support,
     TOL,
@@ -174,14 +172,6 @@ def conzono_hyperplane_range(Z, hs):
     return -support(Z, -hs.h), support(Z, hs.h)
 
 
-def conzono_halfspace_feasible(Z, hs):
-    """Whether Z intersects the halfspace h @ x <= f (single LP feasibility)."""
-    if hs.h.size != Z.n:
-        raise ValueError("halfspace dimension mismatch")
-    a_ub = (hs.h @ Z.G).reshape(1, -1)
-    return _coefficient_lp(Z, a_ub=a_ub, b_ub=[hs.f - hs.h @ Z.c]) is not None
-
-
 def _solved_ranges(a, rhs, lo, hi):
     """Per j, (rhs - sum_{k != j} a_k [lo_k, hi_k]) / a_j as arrays (lo, hi);
     inf or nan where a_j = 0.  Leave-one-out sums are whole-array sums
@@ -318,8 +308,6 @@ def hpolytope_to_conzono(P):
             raise EmptySetError("polytope is empty")
         if UNBOUNDED in (out_min.status, out_max.status):
             raise ValueError("polytope is unbounded; cannot convert")
-        if not (out_min.ok and out_max.ok):
-            raise NumericalError("interval hull LP failed")
         lo[d], hi[d] = out_min.value, out_max.value
     Z = Zonotope.box(lo, hi)
     out = Z

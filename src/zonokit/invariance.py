@@ -15,12 +15,7 @@ import math
 import numpy as np
 
 from .containment import ScalingResult, _zonotope_certificate
-from .numerics import (
-    InfeasibleProgram,
-    LpBuilder,
-    NumericalError,
-    optimize_scaling,
-)
+from .numerics import LpBuilder, NumericalError, optimize_scaling
 from .sets import (
     HPolytope,
     Zonotope,
@@ -37,6 +32,9 @@ STABILITY_TOL = 1e-9
 # RICCATI_TOL (relative to max(1, |P|)), and gives up after RICCATI_STEPS.
 RICCATI_TOL = 1e-12
 RICCATI_STEPS = 200_000
+
+# Largest number of Minkowski terms mrpi_iterative tries.
+S_MAX = 10_000
 
 # Cap on the (n-1)-subsets of W's generators that facet enumeration
 # visits; each gives two rows of the support-ratio test.
@@ -165,7 +163,7 @@ def _support_ratio(Z, P):
     return float(np.max(reach[slack] / P.f[slack], initial=0.0))
 
 
-def mrpi_iterative(sys, eps, s_max=10000):
+def mrpi_iterative(sys, eps):
     """Outer approximation of the minimal RPI set to inf-norm error eps.
 
     Grows the number of Minkowski terms s of F_s = ⊕_{i=0}^{s-1} A^i W
@@ -188,7 +186,7 @@ def mrpi_iterative(sys, eps, s_max=10000):
     dir_sums = np.zeros(2 * n)   # running Σ_i support(W, +-(A^T)^i e_j)
     D = eye.copy()               # columns are (A^T)^i e_j
     As = eye.copy()              # A^s
-    for s in range(1, s_max + 1):
+    for s in range(1, S_MAX + 1):
         dir_sums += support(W, np.vstack([D.T, -D.T]))
         D = A.T @ D
         As = A @ As
@@ -198,7 +196,7 @@ def mrpi_iterative(sys, eps, s_max=10000):
             scale = 1.0 / (1.0 - alpha)
             return Zonotope(scale * F.c, scale * F.G), float(alpha), s
     raise NumericalError(
-        f"no s <= {s_max} met the error bound {eps}; is the spectral "
+        f"no s <= {S_MAX} met the error bound {eps}; is the spectral "
         f"radius ({sys.spectral_radius:.4f}) too close to 1?")
 
 
@@ -238,12 +236,11 @@ def rpi_onestep(sys, s, norm="inf"):
     read = _zonotope_certificate(b, G, [(A @ G, True), (W.G, False)],
                                  {"c": A - np.eye(n)}, -W.c, phi_budget=True)
 
-    try:
-        x = optimize_scaling(b, "phi", norm, maximize=False)
-    except InfeasibleProgram:
+    x = optimize_scaling(b, "phi", norm, maximize=False)
+    if x is None:
         raise ValueError(
             f"no invariant scaling exists on the s={s} template; "
-            "increase s") from None
+            "increase s")
 
     phi = np.maximum(b.value(x, "phi"), 0.0)
     c = b.value(x, "c")

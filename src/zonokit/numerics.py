@@ -2,7 +2,9 @@
 
 Every optimization-backed operation in the package funnels through
 :func:`solve_lp`, so the solver backend (scipy's HiGHS) is swappable in
-exactly one place.  A :class:`LinearProgram` holds its constraint
+exactly one place, and so is what an outcome means: a breakdown raises
+:class:`NumericalError` there, and the library reads an infeasible
+program as ``None``.  A :class:`LinearProgram` holds its constraint
 matrices as given, dense or CSR; :class:`LpBuilder` assembles CSR from
 its blocks' nonzeros, so a built program has no dense copy.  Programs
 with at least ``SPARSE_ENTRIES`` constraint entries reach HiGHS as CSR;
@@ -19,15 +21,15 @@ from scipy.optimize import linprog
 class NumericalError(RuntimeError):
     """The LP backend failed; the result would be untrustworthy.
 
-    Raised instead of silently returning a wrong answer.  Distinct from
-    an LP being infeasible or unbounded, which are legitimate outcomes.
+    Raised by :func:`solve_lp`, and for library programs that come back
+    unbounded, instead of silently returning a wrong answer.  Distinct
+    from an LP being infeasible, which is a legitimate outcome.
     """
 
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-FAILURE = "numerical-failure"
 
 # Feasibility tolerance used when sanity-checking solver output.
 LP_TOL = 1e-6
@@ -103,9 +105,9 @@ class LpOutcome:
 def solve_lp(p):
     """Solve a :class:`LinearProgram` and classify the outcome.
 
-    The returned solution of an optimal outcome is verified feasible to
-    1e-6; a violation is reported as numerical-failure rather than
-    returned silently.
+    Returns an optimal, infeasible or unbounded :class:`LpOutcome`.  Any
+    other solver status, or an optimum that breaks a constraint by more
+    than ``LP_TOL``, raises :class:`NumericalError`.
     """
     n = p.n_vars
     if n == 0:
@@ -138,24 +140,36 @@ def solve_lp(p):
     if res.status == 3:
         return LpOutcome(UNBOUNDED)
     if res.status != 0 or res.x is None:
-        return LpOutcome(FAILURE)
+        raise NumericalError(f"LP backend failed (status {res.status}): {res.message}")
 
     x = np.asarray(res.x, dtype=float)
-    if not _feasible(p, x, LP_TOL):
-        return LpOutcome(FAILURE)
+    broken = _violation(p, x)
+    if broken:
+        raise NumericalError(f"LP optimum breaks its {broken} by more than {LP_TOL}")
     value = float(p.objective @ x)
     return LpOutcome(OPTIMAL, x, value)
 
 
-def _feasible(p, x, tol):
+def _violation(p, x):
+    """The constraints x breaks by more than LP_TOL, or None."""
     scale = max(1.0, float(np.abs(x).max(initial=0.0)))
-    if (p.A_ub @ x - p.b_ub).max(initial=-np.inf) > tol * scale:
-        return False
-    if np.abs(p.A_eq @ x - p.b_eq).max(initial=0.0) > tol * scale:
-        return False
-    if (x - p.hi).max(initial=-np.inf) > tol or (p.lo - x).max(initial=-np.inf) > tol:
-        return False
-    return True
+    if (p.A_ub @ x - p.b_ub).max(initial=-np.inf) > LP_TOL * scale:
+        return "inequality rows"
+    if np.abs(p.A_eq @ x - p.b_eq).max(initial=0.0) > LP_TOL * scale:
+        return "equality rows"
+    if (x - p.hi).max(initial=-np.inf) > LP_TOL or (p.lo - x).max(initial=-np.inf) > LP_TOL:
+        return "variable bounds"
+    return None
+
+
+def _optimum(p):
+    """Optimal x of a library program, which has a finite optimum when
+    feasible: None when infeasible, NumericalError when unbounded."""
+    out = solve_lp(p)
+    if out.status == UNBOUNDED:
+        raise NumericalError("LP is unbounded; the enclosing set is not "
+                             "bounded or the template is degenerate")
+    return out.x
 
 
 # Relative size below which a Gauss-Jordan pivot, or the right-hand side
@@ -354,8 +368,10 @@ def optimize_scaling(builder, phi_name, norm, maximize, template=None):
     unbounded, so it gets zero weight in the 1-norm objective and in the
     2-norm gradient.
 
-    Returns the full solution vector; raises on infeasibility with the
-    outcome attached (callers map this to their own domain errors).
+    Returns the full solution vector, or None when the constraint set
+    is empty (callers map this to their own domain errors).  A later
+    2-norm step cannot be infeasible on a nonempty set, so one that
+    comes back infeasible raises :class:`NumericalError`.
     """
     norm = str(norm).lower()
     if norm not in ("1", "2", "inf"):
@@ -383,7 +399,7 @@ def optimize_scaling(builder, phi_name, norm, maximize, template=None):
         touched = _eq_touched(builder, phi_name)
         weights, col_sq = weights * touched, col_sq * touched
     x = _solve_scaling(builder, phi_name, weights, maximize)
-    if norm == "1":
+    if norm == "1" or x is None:
         return x
 
     # 2-norm maximization: climb along the gradient of ||T diag(phi)||^2.
@@ -398,14 +414,14 @@ def optimize_scaling(builder, phi_name, norm, maximize, template=None):
         if not grad.any():
             break
         x = _solve_scaling(builder, phi_name, grad, True)
+        if x is None:
+            raise NumericalError("2-norm climb step is infeasible on a nonempty set")
     return x
 
 
 def _solve_scaling(builder, name, weights, maximize):
     builder.objective({name: weights}, maximize=maximize)
-    out = solve_lp(builder.build())
-    _require_optimal(out)
-    return out.x
+    return _optimum(builder.build())
 
 
 def _eq_touched(builder, name):
@@ -418,24 +434,6 @@ def _eq_touched(builder, name):
     return touched
 
 
-class InfeasibleProgram(Exception):
-    """Raised by optimize_scaling when the constraint set is empty."""
-
-    def __init__(self, outcome):
-        super().__init__(f"program is {outcome.status}")
-        self.outcome = outcome
-
-
-def _require_optimal(out):
-    if out.status == INFEASIBLE:
-        raise InfeasibleProgram(out)
-    if out.status == UNBOUNDED:
-        raise NumericalError("scaling program is unbounded; the enclosing "
-                             "set is not bounded or the template is degenerate")
-    if not out.ok:
-        raise NumericalError(f"scaling program failed: {out.status}")
-
-
 def lin_coeff(shape, left=None, right=None):
     """Coefficient matrix C with C @ vec(X) = vec(left @ X @ right).
 
@@ -446,5 +444,6 @@ def lin_coeff(shape, left=None, right=None):
     """
     r, c = shape
     L = sparse.identity(r) if left is None else np.asarray(left, dtype=float)
-    R = sparse.identity(c) if right is None else np.asarray(right, dtype=float)
-    return sparse.kron(R.T, L, format="coo")
+    # The identity is not transposed: scipy cannot transpose a 0 x 0 one.
+    Rt = sparse.identity(c) if right is None else np.asarray(right, dtype=float).T
+    return sparse.kron(Rt, L, format="coo")

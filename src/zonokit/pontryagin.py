@@ -9,7 +9,7 @@ generator template.
 import numpy as np
 
 from .containment import ScalingResult, _zonotope_certificate
-from .numerics import InfeasibleProgram, LpBuilder, optimize_scaling
+from .numerics import LpBuilder, optimize_scaling
 from .reduction import reduce_fully
 from .sets import (
     EmptySetError,
@@ -20,12 +20,11 @@ from .sets import (
     translate,
 )
 
-# Default ceiling on the exact recursion's predicted generator count.
+# Ceiling on the exact recursion's predicted generator count.
 GENERATOR_CAP = 2 ** 20
 
 
-def pontryagin_iterative(Z1, Z2, max_generators=GENERATOR_CAP,
-                         reduce_steps=False):
+def pontryagin_iterative(Z1, Z2, reduce_steps=False):
     """Exact Pontryagin difference of a constrained zonotope and a zonotope.
 
     Peels one generator of Z2 per step: subtracting a segment
@@ -34,7 +33,7 @@ def pontryagin_iterative(Z1, Z2, max_generators=GENERATOR_CAP,
     intersection doubles the representation, so the final sizes are
     n_g = 2^k n_g1 and n_c = 2^k n_c1 + n (2^k - 1) for k = n_g2; the
     call is rejected up front when the predicted generator count
-    exceeds ``max_generators``.  With ``reduce_steps`` the intermediate
+    exceeds ``GENERATOR_CAP``.  With ``reduce_steps`` the intermediate
     sets are compacted by reduce_fully after every step (off by
     default; sizes then no longer follow the closed formulas).
 
@@ -48,10 +47,10 @@ def pontryagin_iterative(Z1, Z2, max_generators=GENERATOR_CAP,
     if Z1.n != Z2.n:
         raise ValueError("sets must share a dimension")
     predicted = Z1.n_g * 2 ** Z2.n_g
-    if predicted > max_generators:
+    if predicted > GENERATOR_CAP:
         raise ValueError(
             f"exact recursion would produce {predicted} generators "
-            f"(cap {max_generators}); reduce the subtrahend's generator "
+            f"(cap {GENERATOR_CAP}); reduce the subtrahend's generator "
             "count or use pontryagin_onestep")
 
     out = translate(Z1, -Z2.c)
@@ -103,12 +102,11 @@ def pontryagin_onestep(Z1, Z2, norm="inf"):
     read = _zonotope_certificate(b, Z1.G, [(Gt, True), (Z2.G, False)],
                                  {"cd": np.eye(n)}, Z1.c - Z2.c)
 
-    try:
-        x = _maximize_template(b, Gt, norm)
-    except InfeasibleProgram:
+    x = _maximize_template(b, Gt, norm)
+    if x is None:
         raise EmptySetError(
             "no translate of the subtrahend certifiably fits inside Z1; "
-            "the difference is (reported) empty") from None
+            "the difference is (reported) empty")
 
     phi = np.maximum(b.value(x, "phi"), 0.0)
     cd = b.value(x, "cd")
@@ -117,7 +115,7 @@ def pontryagin_onestep(Z1, Z2, norm="inf"):
 
 def _maximize_template(b, Gt, norm):
     """Maximize the chosen size measure of Gt diag(phi) over the builder's
-    constraint set and return the solution vector.
+    constraint set: the solution vector, or None when the set is empty.
     """
     norm = str(norm).lower()
     if norm != "inf":
@@ -128,6 +126,8 @@ def _maximize_template(b, Gt, norm):
         if not row.any():
             continue
         x = optimize_scaling(b, "phi", "1", True, template=row[None])
+        if x is None:
+            return None
         value = float(row @ b.value(x, "phi"))
         if value > best_value + 1e-12:
             best_value, best_row = value, row

@@ -12,7 +12,7 @@ and the backing arrays are write-protected.
 
 import numpy as np
 
-from .numerics import LinearProgram, solve_lp, OPTIMAL, INFEASIBLE, NumericalError
+from .numerics import LinearProgram, _optimum
 
 # Absolute tolerance for numerical comparisons throughout the package.
 TOL = 1e-9
@@ -292,34 +292,24 @@ def support(Z, h):
 def _lp_support(Z, h):
     """max h @ x over Z by one coefficient LP; EmptySetError when Z is empty."""
     objective = h @ Z.G
-    xi = _coefficient_lp(Z, objective, maximize=True)
+    xi = _coefficient_lp(Z, objective)
     if xi is None:
         raise EmptySetError("set is empty")
     return float(h @ Z.c) + float(objective @ xi)
 
 
-def _coefficient_lp(Z, objective=None, maximize=False, a_ub=None, b_ub=None):
-    """Solve the LP over Z's coefficients {A xi = b, ||xi||_inf <= 1}.
+def _coefficient_lp(Z, objective=None):
+    """Maximize ``objective @ xi`` over Z's coefficients
+    {A xi = b, ||xi||_inf <= 1} (feasibility only when None).
 
-    Optimizes ``objective @ xi`` (feasibility only when None) subject
-    to the optional rows a_ub @ xi <= b_ub.  Returns an optimal xi, or
-    None when the program is infeasible; any other outcome raises
-    NumericalError.  With no generators the rows are constants, judged
-    at TOL.
+    Returns an optimal xi, or None when Z is empty.  With no generators
+    the rows are constants, judged at TOL.
     """
     if Z.n_g == 0:
-        feasible = (np.abs(Z.b) <= TOL).all() and (
-            b_ub is None or (np.asarray(b_ub) >= -TOL).all())
-        return np.zeros(0) if feasible else None
-    out = solve_lp(LinearProgram(
+        return np.zeros(0) if (np.abs(Z.b) <= TOL).all() else None
+    return _optimum(LinearProgram(
         np.zeros(Z.n_g) if objective is None else objective,
-        a_ub=a_ub, b_ub=b_ub, a_eq=Z.A, b_eq=Z.b,
-        lo=-np.ones(Z.n_g), hi=np.ones(Z.n_g), maximize=maximize))
-    if out.status == OPTIMAL:
-        return out.x
-    if out.status == INFEASIBLE:
-        return None
-    raise NumericalError(f"coefficient LP failed: {out.status}")
+        a_eq=Z.A, b_eq=Z.b, lo=-np.ones(Z.n_g), hi=np.ones(Z.n_g), maximize=True))
 
 
 def contains_point(Z, x):

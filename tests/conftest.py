@@ -36,6 +36,28 @@ def make_no_generators(b):
     return ConstrainedZonotope([1.0, -2.0], np.zeros((2, 0)), np.zeros((2, 0)), b)
 
 
+# One member per degenerate shape: every LP-backed operation must give a
+# verdict on each, or reject an empty one as empty.
+DEGENERATE = {
+    "point": Zonotope.singleton([0.5, -1.5]),
+    "zero generator": Zonotope([0.3, -0.1], [[1.0, 0.0, 0.5], [2.0, 0.0, -1.0]]),
+    "flat 3-D": Zonotope([1.0, 0.0, -1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    "rank-deficient A": ConstrainedZonotope(
+        [0.0, 0.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+        [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], [0.5, 1.0]),
+    "duplicated rows": ConstrainedZonotope(
+        [0.2, 0.4], [[1.0, -0.5, 0.3], [0.5, 1.0, -0.2]],
+        [[1.0, -1.0, 0.5], [1.0, -1.0, 0.5]], [0.2, 0.2]),
+    # the square [-1, 1]^2 cut by x1 + x2 >= 2: the single point (1, 1)
+    "single point": ConstrainedZonotope([0.0, 0.0], np.eye(2),
+                                        [[1.0, 1.0]], [2.0]),
+    "no generators": make_no_generators((0.0, 0.0)),
+    "no generators, inconsistent": make_no_generators((1.0, 0.0)),
+    "constrained 4-D": make_conzono(np.random.default_rng(7), 4, 8, 2),
+    "empty": ConstrainedZonotope([0.0, 0.0], np.eye(2), [[1.0, 1.0]], [3.0]),
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
 
 from zonokit import (
     ConstrainedZonotope,
@@ -306,13 +307,15 @@ def test_scenario_drop_pair_program_stays_sparse(wayset8, monkeypatch):
     # Under the RREF basis H = [T; -T] is mostly unit rows; the
     # orthonormal basis filled the program with 105,855 nonzeros.  The
     # builder stores it as CSR, so solving it allocates a small part of
-    # its dense footprint.
+    # its dense footprint.  Only builder programs are counted: the
+    # emptiness check's small dense LP passes through solve_lp too.
     programs = []
     solve = numerics.solve_lp
 
     def count(p):
-        rows = p.A_ub.shape[0] + p.A_eq.shape[0]
-        programs.append((p.A_ub.nnz + p.A_eq.nnz, rows * p.n_vars * 8))
+        if sparse.issparse(p.A_eq):
+            rows = p.A_ub.shape[0] + p.A_eq.shape[0]
+            programs.append((p.A_ub.nnz + p.A_eq.nnz, rows * p.n_vars * 8))
         return solve(p)
 
     monkeypatch.setattr(numerics, "solve_lp", count)

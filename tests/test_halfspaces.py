@@ -9,7 +9,6 @@ from zonokit import (
     HPolytope,
     IntervalVector,
     Zonotope,
-    conzono_halfspace_feasible,
     conzono_halfspace_intersection,
     conzono_hyperplane_range,
     conzono_in_halfspace,
@@ -23,7 +22,7 @@ from zonokit import (
 from zonokit.halfspaces import DIV_TOL, _solved_ranges, refine_certifies_empty
 from zonokit.numerics import INFEASIBLE, LinearProgram, NumericalError, solve_lp
 from zonokit.sets import TOL
-from zonokit import halfspaces, oracle, sets
+from zonokit import numerics, oracle
 
 from conftest import make_conzono, make_no_generators, make_zonotope
 
@@ -90,16 +89,16 @@ def test_hyperplane_range_empty_set():
 
 
 def test_halfspace_feasibility():
-    assert conzono_halfspace_feasible(Z2, Halfspace([1.0, 0.0], 0.0))
-    assert not conzono_halfspace_feasible(Z2, Halfspace([1.0, 0.0], -5.0))
+    # Z meets h @ x <= f iff its lowest value of h @ x is at most f.
+    for f, meets in ((0.0, True), (-5.0, False)):
+        hs = Halfspace([1.0, 0.0], f)
+        assert (conzono_hyperplane_range(Z2, hs)[0] <= hs.f) == meets
 
 
 @pytest.mark.parametrize("b, empty", [((0.0, 0.0), False), ((1e-8, 0.0), True)])
 def test_zero_generator_cuts_judge_constant_rows_at_tol(b, empty):
     Z = make_no_generators(b)
     h = np.array([1.0, 1.0])  # h @ c = -1
-    assert conzono_halfspace_feasible(Z, Halfspace(h, -1.0 - 0.5 * TOL)) == (not empty)
-    assert not conzono_halfspace_feasible(Z, Halfspace(h, -1.0 - 1e-8))
     if empty:
         with pytest.raises(EmptySetError):
             conzono_hyperplane_range(Z, Halfspace(h, 0.0))
@@ -297,9 +296,8 @@ def _two_lp_verdict(Z, hs):
 
 def test_lp_strategy_solves_one_lp(monkeypatch):
     solved = []
-    for module in (sets, halfspaces):
-        monkeypatch.setattr(module, "solve_lp",
-                            lambda p: solved.append(p) or solve_lp(p))
+    monkeypatch.setattr(numerics, "solve_lp",
+                        lambda p: solved.append(p) or solve_lp(p))
     conzono_in_halfspace(make_conzono(np.random.default_rng(9), 2, 5, 2),
                          CUT, "LP")
     assert len(solved) == 1 and solved[0].maximize
@@ -358,3 +356,12 @@ def test_hpolytope_to_conzono_triangle_membership():
     for x in rng.uniform(-2, 2, size=(150, 2)):
         inside = bool((tri.H @ x <= tri.f + 1e-9).all())
         assert oracle.membership(Zc, x, tol=1e-7) == inside
+
+
+def test_hpolytope_to_conzono_rejects_empty_and_unbounded_polytopes():
+    empty = HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [-1.0, -1.0, 1.0])
+    with pytest.raises(EmptySetError, match="empty"):
+        hpolytope_to_conzono(empty)
+    open_below = HPolytope([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="unbounded"):
+        hpolytope_to_conzono(open_below)

@@ -104,6 +104,21 @@ def test_only_numerics_and_oracle_import_linprog():
     assert users == LINPROG_USERS
 
 
+# solve_lp's outcomes are classified in numerics: the library reads an
+# optimum through numerics._optimum, and only hpolytope_to_conzono reads
+# statuses, because an empty or unbounded user polytope is a domain error.
+STATUS_READERS = {"halfspaces.py"}
+OUTCOME_NAMES = {"solve_lp", "OPTIMAL", "INFEASIBLE", "UNBOUNDED"}
+
+
+def test_only_halfspaces_reads_lp_statuses():
+    readers = {module for module in MODULES if module != "numerics.py"
+               for node in ast.walk(_parse(module))
+               if isinstance(node, ast.ImportFrom)
+               and OUTCOME_NAMES & {alias.name for alias in node.names}}
+    assert readers == STATUS_READERS
+
+
 def _package_names(tree):
     """Names a module binds by importing from zonokit."""
     names = set()

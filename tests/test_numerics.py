@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
 from zonokit import ConstrainedZonotope, Zonotope, inner_scale, numerics
 from zonokit.numerics import (
@@ -11,10 +11,12 @@ from zonokit.numerics import (
     OPTIMAL,
     SPARSE_ENTRIES,
     UNBOUNDED,
-    InfeasibleProgram,
     LinearProgram,
     LpBuilder,
+    LpOutcome,
+    NumericalError,
     _eq_touched,
+    _optimum,
     gauss_jordan_full_pivot,
     lin_coeff,
     optimize_scaling,
@@ -56,6 +58,28 @@ class TestSolveLp:
     def test_zero_variable_program(self):
         out = solve_lp(LinearProgram(np.zeros(0)))
         assert out.status == OPTIMAL and out.value == 0.0
+
+    # x + y <= 1 on the unit box
+    ROW = LinearProgram([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0],
+                        lo=[0.0, 0.0], hi=[1.0, 1.0])
+
+    def test_solver_breakdown_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "linprog", lambda *a, **k: OptimizeResult(
+            status=4, x=None, message="numerical difficulties"))
+        with pytest.raises(NumericalError, match="numerical difficulties"):
+            solve_lp(self.ROW)
+
+    def test_optimum_breaking_a_row_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "linprog", lambda *a, **k: OptimizeResult(
+            status=0, x=np.array([0.5, 0.501]), message="optimal"))
+        with pytest.raises(NumericalError, match="inequality rows"):
+            solve_lp(self.ROW)
+
+    def test_optimum_is_none_when_infeasible_and_raises_when_unbounded(self):
+        assert _optimum(LinearProgram([1.0], a_ub=[[1.0], [-1.0]],
+                                      b_ub=[-2.0, -2.0])) is None
+        with pytest.raises(NumericalError, match="unbounded"):
+            _optimum(LinearProgram([-1.0], a_ub=[[-1.0]], b_ub=[0.0]))
 
 
 def _gauss_jordan_per_row(A, b, tol=1e-9):
@@ -204,14 +228,6 @@ def test_particular_solution():
         inner_scale(Zonotope.box([-1.0, -1.0], [1.0, 1.0]), template)
 
 
-def test_infeasible_program_exception_carries_status():
-    try:
-        raise InfeasibleProgram(solve_lp(
-            LinearProgram([1.0], a_ub=[[1.0], [-1.0]], b_ub=[-2.0, -2.0])))
-    except InfeasibleProgram as e:
-        assert "infeasible" in str(e)
-
-
 def scaling_builder():
     # phi_0 = phi_1 - phi_2 + s with phi_0 + phi_1 <= 1 and phi_2 <= 1;
     # phi_3 appears in no equality row and has no upper bound.
@@ -249,6 +265,26 @@ class TestOptimizeScaling:
         phi = b.value(optimize_scaling(b, "phi", norm, True,
                                        template=template), "phi")
         assert phi[:3] == pytest.approx([1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("norm", ["1", "2", "inf"])
+    def test_empty_constraint_set_gives_none(self, norm):
+        b = scaling_builder()
+        b.le({"phi": [[-1.0, 0.0, 0.0, 0.0]]}, [-2.0])  # phi_0 >= 2 > 1
+        assert optimize_scaling(b, "phi", norm, True) is None
+
+    def test_infeasible_climb_step_raises(self, monkeypatch):
+        # Only the first program, the 1-norm start, is solved.
+        solve = numerics.solve_lp
+        solved = []
+
+        def solve_once(p):
+            solved.append(p)
+            return solve(p) if len(solved) == 1 else LpOutcome(INFEASIBLE)
+
+        monkeypatch.setattr(numerics, "solve_lp", solve_once)
+        with pytest.raises(NumericalError, match="climb"):
+            optimize_scaling(scaling_builder(), "phi", "2", True)
+        assert len(solved) == 2
 
     def test_minimizing_the_2_norm_is_rejected(self):
         with pytest.raises(ValueError, match="use norm 1 or 'inf'"):

@@ -3,7 +3,7 @@ import pytest
 
 from zonokit import EmptySetError, Zonotope, is_empty
 from zonokit.pontryagin import pontryagin_iterative, pontryagin_onestep
-from zonokit import numerics, oracle
+from zonokit import numerics, oracle, pontryagin
 
 from conftest import make_zonotope
 
@@ -123,13 +123,14 @@ def test_alternate_norms_still_certify(norm):
         assert oracle.support_lp(S, d) <= oracle.support_lp(D, d) + 1e-7
 
 
-def test_argument_validation():
+def test_argument_validation(monkeypatch):
     with pytest.raises(ValueError, match="unconstrained"):
         pontryagin_iterative(Z1_3D, pontryagin_iterative(Z1_3D, Z2_3D))
     with pytest.raises(ValueError, match="dimension"):
         pontryagin_onestep(Z1_3D, Zonotope.box([-1, -1], [1, 1]))
-    with pytest.raises(ValueError, match="cap"):
-        pontryagin_iterative(Z1_3D, Z2_3D, max_generators=32)
+    monkeypatch.setattr(pontryagin, "GENERATOR_CAP", 32)
+    with pytest.raises(ValueError, match="cap 32"):
+        pontryagin_iterative(Z1_3D, Z2_3D)
 
 
 def test_reduce_steps_keeps_the_set():

@@ -17,7 +17,7 @@ from zonokit import (
 from zonokit.sets import as_conzono
 from zonokit import oracle
 
-from conftest import make_conzono, make_no_generators, make_zonotope
+from conftest import DEGENERATE, make_conzono, make_no_generators, make_zonotope
 
 
 def test_basic_properties():
@@ -106,26 +106,6 @@ def test_support_algebraic_vs_lp():
     for _ in range(20):
         h = rng.normal(size=3)
         assert support(Z, h) == pytest.approx(oracle.support_lp(Z, h), abs=1e-7)
-
-
-DEGENERATE = {
-    "point": Zonotope.singleton([0.5, -1.5]),
-    "zero generator": Zonotope([0.3, -0.1], [[1.0, 0.0, 0.5], [2.0, 0.0, -1.0]]),
-    "flat 3-D": Zonotope([1.0, 0.0, -1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-    "rank-deficient A": ConstrainedZonotope(
-        [0.0, 0.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
-        [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], [0.5, 1.0]),
-    "duplicated rows": ConstrainedZonotope(
-        [0.2, 0.4], [[1.0, -0.5, 0.3], [0.5, 1.0, -0.2]],
-        [[1.0, -1.0, 0.5], [1.0, -1.0, 0.5]], [0.2, 0.2]),
-    # the square [-1, 1]^2 cut by x1 + x2 >= 2: the single point (1, 1)
-    "single point": ConstrainedZonotope([0.0, 0.0], np.eye(2),
-                                        [[1.0, 1.0]], [2.0]),
-    "no generators": make_no_generators((0.0, 0.0)),
-    "no generators, inconsistent": make_no_generators((1.0, 0.0)),
-    "constrained 4-D": make_conzono(np.random.default_rng(7), 4, 8, 2),
-    "empty": ConstrainedZonotope([0.0, 0.0], np.eye(2), [[1.0, 1.0]], [3.0]),
-}
 
 
 @pytest.mark.parametrize("kind", DEGENERATE)
