@@ -48,12 +48,6 @@ def _vec(M):
     return np.asarray(M, dtype=float).reshape(-1, order="F")
 
 
-def _scaled_columns(G, T):
-    """Coefficient matrix C with C @ phi = vec(G diag(phi) T), column-major."""
-    cols = T.T[:, None, :] * G[None, :, :]
-    return cols.reshape(T.shape[1] * G.shape[0], G.shape[1])
-
-
 def _coefficient_polytope(A, b):
     """Parametrize {xi : A xi = b, |xi| <= 1} as xi = s + T xi', H xi' <= f.
 
@@ -141,7 +135,7 @@ def _zonotope_certificate(b, G_y, blocks, center, rhs, phi_budget=False):
     for (p, n), (G, scaled) in zip(splits, blocks):
         match = lin_coeff((ngy, G.shape[1]), left=G_y)
         if scaled:
-            b.eq({"phi": _scaled_columns(G, np.eye(G.shape[1])),
+            b.eq({"phi": scipy.linalg.khatri_rao(np.eye(G.shape[1]), G),
                   p: -match, n: match}, np.zeros(match.shape[0]))
         else:
             b.eq({p: match, n: -match}, _vec(G))
@@ -175,7 +169,7 @@ def _ah_certificate(b, Y, X_x, Hx, fx, center, rhs, T=None):
     if T is None:
         b.eq({"gam": match}, _vec(X_x))
     else:
-        b.eq({"phi": _scaled_columns(X_x, T), "gam": -match},
+        b.eq({"phi": scipy.linalg.khatri_rao(T.T, X_x), "gam": -match},
              np.zeros(match.shape[0]))
     b.eq({"beta": Y.X, **center}, rhs)
     b.eq({"lam": lin_coeff((nhy, nhx), right=Hx),
@@ -383,16 +377,16 @@ def inner_scale(Z_c, template, norm="inf", must_contain=None):
     n = target.n
 
     # The scaled template is {center + G diag(phi) (s_r + T_r xi') :
-    # Hx xi' <= fx}; its facets do not move with phi.  A pinned coefficient
-    # (zero row of T_r) only translates the set, which the free center
-    # absorbs, so its scale enters no equality row and sizes nothing.
-    pinned = ~live[:ngr]
+    # Hx xi' <= fx}; its facets do not move with phi.  A zero generator
+    # sizes nothing, and neither does a pinned coefficient (zero row of
+    # T_r), which only translates the set, as the free center can: their
+    # scales get zero template columns below, so no norm chases them.
     b = LpBuilder()
     b.var("phi", ngr, lo=0.0)
     b.var("center", n)
     read = _ah_certificate(b, outer, t.G, Hx[live], fx[live],
-                           {"center": np.eye(n), "phi": t.G * np.where(pinned, 0.0, s_r)},
-                           outer.xbar, T=np.where(pinned[:, None], 0.0, T_r))
+                           {"center": np.eye(n), "phi": t.G * s_r},
+                           outer.xbar, T=T_r)
 
     pts = [np.asarray(p, dtype=float).reshape(-1) for p in (must_contain or [])]
     if pts and t.n_c:
@@ -408,14 +402,15 @@ def inner_scale(Z_c, template, norm="inf", must_contain=None):
         b.le({name: eye_g, "phi": -eye_g}, np.zeros(ngr))
         b.le({name: -eye_g, "phi": -eye_g}, np.zeros(ngr))
 
-    x = optimize_scaling(b, "phi", norm, maximize=True)
+    x = optimize_scaling(b, norm, maximize=True,
+                         template=np.diag(t.G.any(axis=0) & live[:ngr]))
     if x is None:
         raise ValueError(
             "no scaling of the template fits inside the target set "
             "(are the must_contain points inside it?)")
 
     phi = np.maximum(b.value(x, "phi"), 0.0)
-    center = b.value(x, "center") - t.G[:, pinned] @ (phi * s_r)[pinned]
+    center = b.value(x, "center")
     scaled = _make(center, t.G * phi, t.A, t.b)
     return scaled, ScalingResult(phi, center, read(x))
 
@@ -458,7 +453,5 @@ def make_template(Z_c, kind):
     _, ranges = interval_refine(work)
     scores = np.maximum(np.abs(ranges.lo), np.abs(ranges.hi))
     col = int(np.argmin(scores))
-    if not np.isfinite(scores[col]):
-        raise ValueError("no generator participates in any constraint")
     row = int(np.argmax(np.abs(work.A[:, col])))
     return eliminate_pair(work, row, col)

@@ -236,7 +236,7 @@ def rpi_onestep(sys, s, norm="inf"):
     read = _zonotope_certificate(b, G, [(A @ G, True), (W.G, False)],
                                  {"c": A - np.eye(n)}, -W.c, phi_budget=True)
 
-    x = optimize_scaling(b, "phi", norm, maximize=False)
+    x = optimize_scaling(b, norm, maximize=False)
     if x is None:
         raise ValueError(
             f"no invariant scaling exists on the s={s} template; "

@@ -351,22 +351,23 @@ class LpBuilder:
 CLIMB_STEPS = 40
 
 
-def optimize_scaling(builder, phi_name, norm, maximize, template=None):
+def optimize_scaling(builder, norm, maximize, template=None):
     """Optimize the size of ``template diag(phi)`` over the constraint set
-    loaded in a builder.
+    loaded in a builder, phi being its "phi" block.
 
     ``norm`` is 1, 2 or "inf".  Norms 1 and 2 measure the entrywise norm
     of ``template diag(phi)``; the default identity template gives
     ||phi||.  The 1-norm is one LP weighted by the template's column
     abs-sums.  The 2-norm is only maximized -- a convex maximization, so
     NP-hard in general -- by a climb of linearizations from the 1-norm
-    optimum, which ends at a documented local optimum, not a global one;
+    optimum along the gradient, the template's column square sums times
+    phi, which ends at a documented local optimum, not a global one;
     minimizing it is a QP and raises ValueError.  The inf-norm is one LP
     that couples every entry of phi to a fresh shared bound variable; it
-    ignores the template.  When maximizing, an entry of phi that no
-    equality row touches sizes nothing and would make the program
-    unbounded, so it gets zero weight in the 1-norm objective and in the
-    2-norm gradient.
+    ignores the template.  In norms 1 and 2 the template alone decides
+    which scales count: a zero column gives its scale zero weight, and
+    a weighted scale that the constraints leave unbounded makes the
+    program unbounded, which raises :class:`NumericalError`.
 
     Returns the full solution vector, or None when the constraint set
     is empty (callers map this to their own domain errors).  A later
@@ -378,7 +379,7 @@ def optimize_scaling(builder, phi_name, norm, maximize, template=None):
         raise ValueError("norm must be 1, 2 or 'inf'")
     if norm == "2" and not maximize:
         raise ValueError("2-norm minimization is a QP; use norm 1 or 'inf'")
-    m = builder.size(phi_name)
+    m = builder.size("phi")
 
     if norm == "inf":
         builder.var("_phi_bound", 1)
@@ -386,26 +387,22 @@ def optimize_scaling(builder, phi_name, norm, maximize, template=None):
         tcol = np.ones((m, 1))
         if maximize:
             # max t with t <= phi_i for all i.
-            builder.le({"_phi_bound": tcol, phi_name: -S}, np.zeros(m))
+            builder.le({"_phi_bound": tcol, "phi": -S}, np.zeros(m))
         else:
             # min t with phi_i <= t for all i.
-            builder.le({phi_name: S, "_phi_bound": -tcol}, np.zeros(m))
+            builder.le({"phi": S, "_phi_bound": -tcol}, np.zeros(m))
         return _solve_scaling(builder, "_phi_bound", np.ones(1), maximize)
 
     T = np.eye(m) if template is None else np.asarray(template, dtype=float)
-    weights = np.abs(T).sum(axis=0)
     col_sq = (T ** 2).sum(axis=0)
-    if maximize:
-        touched = _eq_touched(builder, phi_name)
-        weights, col_sq = weights * touched, col_sq * touched
-    x = _solve_scaling(builder, phi_name, weights, maximize)
+    x = _solve_scaling(builder, "phi", np.abs(T).sum(axis=0), maximize)
     if norm == "1" or x is None:
         return x
 
     # 2-norm maximization: climb along the gradient of ||T diag(phi)||^2.
     prev = -np.inf
     for _ in range(CLIMB_STEPS):
-        phi = builder.value(x, phi_name)
+        phi = builder.value(x, "phi")
         size = float(np.sqrt(col_sq @ phi ** 2))
         if size <= prev + 1e-12:
             break
@@ -413,7 +410,7 @@ def optimize_scaling(builder, phi_name, norm, maximize, template=None):
         grad = col_sq * phi
         if not grad.any():
             break
-        x = _solve_scaling(builder, phi_name, grad, True)
+        x = _solve_scaling(builder, "phi", grad, True)
         if x is None:
             raise NumericalError("2-norm climb step is infeasible on a nonempty set")
     return x
@@ -422,16 +419,6 @@ def optimize_scaling(builder, phi_name, norm, maximize, template=None):
 def _solve_scaling(builder, name, weights, maximize):
     builder.objective({name: weights}, maximize=maximize)
     return _optimum(builder.build())
-
-
-def _eq_touched(builder, name):
-    """Mask of the entries of block ``name`` that some equality row uses."""
-    touched = np.zeros(builder.size(name), dtype=bool)
-    for terms, rhs in builder._eq:
-        if name in terms:
-            coeff = builder._coo(name, terms[name], rhs.size)
-            touched[coeff.col[coeff.data != 0]] = True
-    return touched
 
 
 def lin_coeff(shape, left=None, right=None):

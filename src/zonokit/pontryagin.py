@@ -119,13 +119,13 @@ def _maximize_template(b, Gt, norm):
     """
     norm = str(norm).lower()
     if norm != "inf":
-        return optimize_scaling(b, "phi", norm, True, template=Gt)
+        return optimize_scaling(b, norm, True, template=Gt)
 
     best_value, best_row = -np.inf, None
     for row in np.abs(Gt):
         if not row.any():
             continue
-        x = optimize_scaling(b, "phi", "1", True, template=row[None])
+        x = optimize_scaling(b, "1", True, template=row[None])
         if x is None:
             return None
         value = float(row @ b.value(x, "phi"))
@@ -137,4 +137,4 @@ def _maximize_template(b, Gt, norm):
     # over a degenerate one.  A zero template leaves feasibility only.
     if best_row is not None:
         b.le({"phi": -best_row[None, :]}, np.array([1e-9 - best_value]))
-    return optimize_scaling(b, "phi", "1", True)
+    return optimize_scaling(b, "1", True, template=np.diag(Gt.any(axis=0)))

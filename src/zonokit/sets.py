@@ -151,6 +151,8 @@ class Halfspace:
         if not self.h.any():
             raise ValueError("halfspace normal must be nonzero")
         self.f = float(f)
+        if not np.isfinite(self.f):
+            raise ValueError("halfspace offset f must be finite")
         _freeze(self.h)
 
     def __repr__(self):

@@ -24,7 +24,7 @@ from zonokit.containment import (
     ah_containment_residual,
     zonotope_containment_residual,
 )
-from zonokit.numerics import NumericalError, _eq_touched, solve_lp
+from zonokit.numerics import NumericalError, solve_lp
 from zonokit.reduction import _canonical
 from zonokit import oracle
 
@@ -153,6 +153,16 @@ class TestInnerScale:
         with pytest.raises(ValueError):
             make_template(ZFIVE, "drop_pair")
 
+    def test_templates_of_a_plain_zonotope(self):
+        # With no constraints the coefficients are free: the zonotope
+        # template is the set itself, the box a unit box at its center.
+        same = make_template(ZFIVE, "zonotope")
+        assert same.n_c == 0
+        assert np.array_equal(same.c, ZFIVE.c) and np.array_equal(same.G, ZFIVE.G)
+        box = make_template(ZFIVE, "box")
+        assert box.n_c == 0
+        assert np.array_equal(box.c, ZFIVE.c) and np.array_equal(box.G, np.eye(2))
+
     def test_must_contain_point(self):
         anchor = np.array([-3.4, 2.0])
         assert oracle.membership(ZC, anchor, tol=1e-7)
@@ -192,22 +202,22 @@ class TestInnerScale:
         assert ah_containment_residual(X, Y, got.certificate) < RESIDUAL_TOL
 
 
-def normalised_norm2_climb(builder, phi_name, norm, maximize):
-    """2-norm maximization of an untemplated phi by iterated
+def normalised_norm2_climb(builder, norm, maximize, template):
+    """2-norm maximization of a 0/1 diagonal template's phi by iterated
     linearization along the normalised gradient phi / ||phi||."""
     assert (norm, maximize) == ("2", True)
 
     def maximize_along(weights):
-        builder.objective({phi_name: weights}, maximize=True)
+        builder.objective({"phi": weights}, maximize=True)
         out = solve_lp(builder.build())
         assert out.ok
         return out.x
 
-    weights = _eq_touched(builder, phi_name) * 1.0
+    weights = np.abs(template).sum(axis=0)
     x = maximize_along(weights)
     prev = -np.inf
     for _ in range(40):
-        phi = builder.value(x, phi_name) * weights
+        phi = builder.value(x, "phi") * weights
         nrm = float(np.linalg.norm(phi))
         if nrm <= prev + 1e-12:
             break

@@ -1,8 +1,9 @@
-"""The degenerate corpus through every LP-backed predicate.
+"""The degenerate corpus through every LP-backed predicate and the
+scaling front-ends.
 
-Each call returns a verdict, checked against the oracle, or rejects an
-empty member with EmptySetError or ValueError.  A NumericalError is
-never a verdict and fails the test.
+Each call returns a verdict or a set, checked against the oracle, or
+rejects its input with EmptySetError or ValueError.  A NumericalError
+is never a verdict and fails the test.
 """
 
 import numpy as np
@@ -11,14 +12,24 @@ import pytest
 from zonokit import (
     EmptySetError,
     Halfspace,
+    Zonotope,
     ah_contains,
     contains_point,
     conzono_hyperplane_range,
     conzono_in_halfspace,
     conzono_to_ah,
+    inner_scale,
     is_empty,
+    make_template,
+    minkowski_sum,
+    pontryagin_onestep,
 )
-from zonokit.containment import RESIDUAL_TOL, ah_containment_residual
+from zonokit.containment import (
+    RESIDUAL_TOL,
+    TEMPLATE_KINDS,
+    ah_containment_residual,
+    zonotope_containment_residual,
+)
 from zonokit.sets import TOL
 from zonokit import oracle
 
@@ -80,3 +91,50 @@ def test_lp_predicates_on_degenerate_sets(kind):
     cert = ah_contains(X, X)
     assert cert is not None
     assert ah_containment_residual(X, X, cert) < RESIDUAL_TOL
+
+
+def _sweep(n):
+    """The axes and about 24 directions spread over the oracle's sweep."""
+    D = oracle.directions(n)
+    return np.vstack([np.eye(n), -np.eye(n), D[::max(1, len(D) // 24)]])
+
+
+def _assert_inside(S, top, D):
+    """S lies inside the set whose support values on D are top."""
+    for d, t in zip(D, top):
+        assert oracle.support_lp(S, d) <= t + 1e-6
+
+
+@pytest.mark.parametrize("kind", DEGENERATE)
+def test_scaling_front_ends_on_degenerate_sets(kind):
+    Z = DEGENERATE[kind]
+    D = _sweep(Z.n)
+    top = None
+    for template_kind in TEMPLATE_KINDS:
+        for norm in ("inf", "1", "2"):
+            try:
+                scaled, result = inner_scale(Z, make_template(Z, template_kind),
+                                             norm=norm)
+            except (EmptySetError, ValueError):
+                continue
+            X, Y = conzono_to_ah(scaled), conzono_to_ah(Z)
+            assert ah_containment_residual(X, Y, result.certificate) < RESIDUAL_TOL
+            top = top or [oracle.support_lp(Z, d) for d in D]
+            _assert_inside(scaled, top, D)
+
+    if Z.n_c:
+        return
+    small = Zonotope(np.zeros(Z.n), 0.05 * np.eye(Z.n))
+    for norm in ("inf", "1", "2"):
+        try:
+            S, result = pontryagin_onestep(Z, small, norm)
+        except (EmptySetError, ValueError):
+            continue
+        inner = Zonotope(result.center + small.c,
+                         np.hstack([np.hstack([Z.G, small.G]) * result.phi,
+                                    small.G]))
+        assert zonotope_containment_residual(inner, Z, result.certificate) \
+            < RESIDUAL_TOL
+        top = top or [oracle.support_lp(Z, d) for d in D]
+        _assert_inside(S, top, D)
+        _assert_inside(minkowski_sum(S, small), top, D)

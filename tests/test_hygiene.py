@@ -168,3 +168,19 @@ def test_library_reads_no_dense_program_views():
              if isinstance(node, ast.Attribute)
              and node.attr in ("a_ub", "a_eq")]
     assert not reads, f"dense LinearProgram views read at {reads}"
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+# An object's private state is its own: another object or module that
+# reads it depends on a layout its owner may change at will.
+def test_private_attributes_are_read_only_off_self_or_cls():
+    reads = [f"{module}:{node.lineno} {ast.unparse(node)}"
+             for module in MODULES + ["__init__.py"]
+             for node in ast.walk(_parse(module))
+             if isinstance(node, ast.Attribute) and _private(node.attr)
+             and not (isinstance(node.value, ast.Name)
+                      and node.value.id in ("self", "cls"))]
+    assert not reads, f"private attributes read off other objects at {reads}"

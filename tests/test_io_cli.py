@@ -7,12 +7,20 @@ import numpy as np
 import pytest
 
 from zonokit import (
+    AutonomousSystem,
     ConstrainedZonotope,
     HPolytope,
+    NumericalError,
     Zonotope,
+    convex_hull,
+    generalized_intersection,
     is_empty,
+    mrpi_iterative,
     numerics,
+    pontryagin_iterative,
+    rpi_onestep,
 )
+from zonokit import cli
 from zonokit.cli import main
 from zonokit.io import (
     SchemaError,
@@ -77,9 +85,106 @@ def test_malformed_json(tmp_path):
         read_set(path)
 
 
+def assert_written(path, Z):
+    """The set written at path is Z: the same sizes and arrays."""
+    got = read_set(path)
+    assert (got.n, got.n_g, got.n_c) == (Z.n, Z.n_g, Z.n_c)
+    for a, b in ((got.c, Z.c), (got.G, Z.G), (got.A, Z.A), (got.b, Z.b)):
+        assert np.array_equal(a, b)
+
+
 class TestCli:
     def run(self, *argv):
         return main([str(a) for a in argv])
+
+    @pytest.mark.parametrize("operand", ["set", "point"])
+    def test_hull_matches_library(self, tmp_path, operand):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        out = tmp_path / "out.json"
+        Z = make_conzono(np.random.default_rng(5), 2, 4, 1)
+        other = (Zonotope([3.0, 0.0], [[0.5, 0.2], [0.0, 1.0]])
+                 if operand == "set" else np.array([-3.0, 1.0]))
+        write_set(a, Z)
+        write_set(b, other)
+        assert self.run("hull", a, b, "-o", out) == 0
+        assert_written(out, convex_hull(Z, other))
+
+    @pytest.mark.parametrize("method", ["--s", "--eps"])
+    def test_rpi_matches_library(self, tmp_path, method):
+        w = tmp_path / "w.json"
+        out = tmp_path / "out.json"
+        W = Zonotope([0.0, 0.0], 0.1 * np.eye(2))
+        A = np.array([[0.6, 0.2], [-0.1, 0.5]])
+        write_set(w, W)
+        value = {"--s": "4", "--eps": "0.01"}[method]
+        assert self.run("rpi", w, "--A", "0.6,0.2;-0.1,0.5", method, value,
+                        "-o", out) == 0
+        sys_ = AutonomousSystem(A, W)
+        want = (rpi_onestep(sys_, 4)[0] if method == "--s"
+                else mrpi_iterative(sys_, 0.01)[0])
+        assert_written(out, want)
+
+    def test_pontryagin_defaults_to_iterative(self, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        out = tmp_path / "out.json"
+        Z1 = Zonotope([0.0, 0.0], [[1.0, 0.0, 0.5], [0.0, 1.0, 0.2]])
+        Z2 = Zonotope([0.1, 0.0], [[0.1, 0.05], [0.0, 0.1]])
+        write_set(a, Z1)
+        write_set(b, Z2)
+        assert self.run("pontryagin", a, b, "-o", out) == 0
+        assert_written(out, pontryagin_iterative(Z1, Z2))
+
+    @pytest.mark.parametrize("R", [None, "2,0;0,1"])
+    def test_intersect_two_sets_matches_library(self, tmp_path, R):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        out = tmp_path / "out.json"
+        Z = Zonotope([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+        Y = make_conzono(np.random.default_rng(6), 2, 3, 1)
+        write_set(a, Z)
+        write_set(b, Y)
+        extra = [] if R is None else ["--R", R]
+        assert self.run("intersect", a, b, *extra, "-o", out) == 0
+        want = generalized_intersection(
+            Z, Y, None if R is None else np.diag([2.0, 1.0]))
+        assert_written(out, want)
+
+    def test_info_on_an_hpolytope_and_a_point(self, tmp_path, capsys):
+        p = tmp_path / "p.json"
+        x = tmp_path / "x.json"
+        write_set(p, HPolytope([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [2.0, 2.0]))
+        write_set(x, np.array([3.0, -1.0]))
+        assert self.run("info", p) == 0
+        assert capsys.readouterr().out.strip() == "hpolytope n=3 n_h=2"
+        assert self.run("info", x) == 0
+        assert capsys.readouterr().out.strip() == "point n=2"
+
+    def test_numerical_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        z = tmp_path / "z.json"
+        out = tmp_path / "out.json"
+        write_set(z, Zonotope([0.0, 0.0], np.eye(2)))
+
+        def breakdown(Z):
+            raise NumericalError("LP backend failed (status 4)")
+
+        monkeypatch.setattr(cli, "reduce_fully", breakdown)
+        assert self.run("reduce", z, "-o", out) == 3
+        err = capsys.readouterr().err
+        assert err == "zonokit: numerical failure: LP backend failed (status 4)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("f", ["nan", "inf", "-inf"])
+    def test_halfspace_rejects_a_non_finite_offset(self, tmp_path, capsys, f):
+        z = tmp_path / "z.json"
+        out = tmp_path / "out.json"
+        write_set(z, Zonotope([0.0, 0.0], np.eye(2)))
+        assert self.run("halfspace", z, "--h", "1,0", f"--f={f}",
+                        "-o", out) == 2
+        err = capsys.readouterr().err
+        assert err == "zonokit: error: halfspace offset f must be finite\n"
+        assert not out.exists()
 
     def test_pipeline_map_sum_info(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -15,7 +15,6 @@ from zonokit.numerics import (
     LpBuilder,
     LpOutcome,
     NumericalError,
-    _eq_touched,
     _optimum,
     gauss_jordan_full_pivot,
     lin_coeff,
@@ -230,7 +229,7 @@ def test_particular_solution():
 
 def scaling_builder():
     # phi_0 = phi_1 - phi_2 + s with phi_0 + phi_1 <= 1 and phi_2 <= 1;
-    # phi_3 appears in no equality row and has no upper bound.
+    # no constraint bounds phi_3 from above.
     b = LpBuilder()
     b.var("phi", 4, lo=0.0)
     b.var("s", 1)
@@ -239,30 +238,47 @@ def scaling_builder():
     return b
 
 
+def bounded_scaling_builder():
+    """scaling_builder with phi_3 <= 2."""
+    b = scaling_builder()
+    b.le({"phi": [[0.0, 0.0, 0.0, 1.0]]}, [2.0])
+    return b
+
+
+# Weights phi_0 to phi_2 and leaves out phi_3, which nothing bounds.
+FIRST_THREE = np.eye(4)[:3]
+
+
 class TestOptimizeScaling:
     @pytest.mark.parametrize("norm, maximize", [
         ("1", True), ("2", True), ("1", False), ("inf", False), ("inf", True)])
     def test_identity_template_is_the_default(self, norm, maximize):
-        b0, b1 = scaling_builder(), scaling_builder()
-        x0 = optimize_scaling(b0, "phi", norm, maximize)
-        x1 = optimize_scaling(b1, "phi", norm, maximize, template=np.eye(4))
+        b0, b1 = bounded_scaling_builder(), bounded_scaling_builder()
+        x0 = optimize_scaling(b0, norm, maximize)
+        x1 = optimize_scaling(b1, norm, maximize, template=np.eye(4))
         assert np.array_equal(x0, x1)
 
     @pytest.mark.parametrize("norm", ["1", "2"])
     def test_untouched_entry_gets_zero_weight(self, norm):
-        # Unweighted, phi_3 would make the maximization unbounded.
-        for template in (None, np.ones((2, 4))):
+        # A zero template column leaves out phi_3, which would make the
+        # maximization unbounded.
+        for template in (FIRST_THREE, np.array([[1.0, 1.0, 1.0, 0.0]] * 2)):
             b = scaling_builder()
-            x = optimize_scaling(b, "phi", norm, True, template=template)
+            x = optimize_scaling(b, norm, True, template=template)
             phi = b.value(x, "phi")
             assert phi[0] + phi[1] == pytest.approx(1.0)
             assert phi[2] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("norm", ["1", "2"])
+    def test_weighting_an_unbounded_scale_raises(self, norm):
+        with pytest.raises(NumericalError, match="unbounded"):
+            optimize_scaling(scaling_builder(), norm, True)
+
+    @pytest.mark.parametrize("norm", ["1", "2"])
     def test_template_weights_pick_the_longer_column(self, norm):
         b = scaling_builder()
         template = np.array([[3.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-        phi = b.value(optimize_scaling(b, "phi", norm, True,
+        phi = b.value(optimize_scaling(b, norm, True,
                                        template=template), "phi")
         assert phi[:3] == pytest.approx([1.0, 0.0, 1.0])
 
@@ -270,7 +286,7 @@ class TestOptimizeScaling:
     def test_empty_constraint_set_gives_none(self, norm):
         b = scaling_builder()
         b.le({"phi": [[-1.0, 0.0, 0.0, 0.0]]}, [-2.0])  # phi_0 >= 2 > 1
-        assert optimize_scaling(b, "phi", norm, True) is None
+        assert optimize_scaling(b, norm, True) is None
 
     def test_infeasible_climb_step_raises(self, monkeypatch):
         # Only the first program, the 1-norm start, is solved.
@@ -283,12 +299,12 @@ class TestOptimizeScaling:
 
         monkeypatch.setattr(numerics, "solve_lp", solve_once)
         with pytest.raises(NumericalError, match="climb"):
-            optimize_scaling(scaling_builder(), "phi", "2", True)
+            optimize_scaling(scaling_builder(), "2", True, template=FIRST_THREE)
         assert len(solved) == 2
 
     def test_minimizing_the_2_norm_is_rejected(self):
         with pytest.raises(ValueError, match="use norm 1 or 'inf'"):
-            optimize_scaling(scaling_builder(), "phi", "2", False)
+            optimize_scaling(scaling_builder(), "2", False)
 
 
 @pytest.mark.parametrize("left, right", [
@@ -338,21 +354,6 @@ def test_builder_assembles_dense_flat_and_sparse_terms():
     assert np.array_equal(p.objective, np.eye(1, 9, 8)[0])
     assert np.array_equal(p.lo, [-np.inf] * 6 + [0.0, 0.0, -np.inf])
     assert np.array_equal(p.hi, [np.inf] * 8 + [4.0])
-
-
-def test_eq_touched_reads_sparse_terms_like_dense_ones():
-    # column 1 is never used; column 2 holds only a stored zero
-    coeff = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -2.0]])
-    stored_zero = sparse.coo_matrix(
-        ([1.0, -2.0, 0.0], ([0, 1, 1], [0, 3, 2])), shape=(2, 4))
-    masks = []
-    for term in (coeff, sparse.csr_array(coeff), stored_zero):
-        b = LpBuilder()
-        b.var("phi", 4, lo=0.0)
-        b.eq({"phi": term}, [1.0, 1.0])
-        masks.append(_eq_touched(b, "phi"))
-    for mask in masks:
-        assert np.array_equal(mask, [True, False, False, True])
 
 
 def containment_builder(n, n_gy, n_gx, seed=0):

@@ -107,6 +107,16 @@ class TestParallelMerging:
         assert abs(M.G[0, 0]) == pytest.approx(6.0)
         assert oracle.sets_equal(M, Z)
 
+    @pytest.mark.parametrize("Z", [
+        Zonotope([1.0, -2.0], np.zeros((2, 3))),
+        ConstrainedZonotope([1.0, -2.0], np.zeros((2, 2)), np.zeros((1, 2)), [0.0]),
+    ], ids=["zonotope", "conzono"])
+    def test_all_zero_generators_are_dropped(self, Z):
+        M = merge_parallel_generators(Z)
+        assert (M.n_g, M.n_c) == (0, Z.n_c)
+        assert M.G.shape == (2, 0) and M.A.shape == (Z.n_c, 0)
+        assert np.array_equal(M.c, Z.c) and np.array_equal(M.b, Z.b)
+
     def test_lifted_merge_respects_constraints(self):
         # parallel in G but not in [G; A]: must NOT merge
         Za = ConstrainedZonotope([0.0], [[1.0, 2.0]], [[1.0, -1.0]], [0.5])

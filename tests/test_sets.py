@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from zonokit import (
     ConstrainedZonotope,
     EmptySetError,
+    Halfspace,
     Zonotope,
     contains_point,
     generalized_intersection,
@@ -39,6 +40,12 @@ def test_constructor_validation():
         Zonotope([np.inf, 0.0], np.eye(2))
     with pytest.raises(ValueError):
         Zonotope.box([0.0, 0.0], [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("f", [np.nan, np.inf, -np.inf])
+def test_halfspace_rejects_a_non_finite_offset(f):
+    with pytest.raises(ValueError, match="offset f must be finite"):
+        Halfspace([1.0, 0.0], f)
 
 
 def test_box_and_singleton():
