@@ -380,9 +380,10 @@ def inner_scale(Z_c, template, norm="inf", must_contain=None):
     # Hx xi' <= fx}; its facets do not move with phi.  A zero generator
     # sizes nothing, and neither does a pinned coefficient (zero row of
     # T_r), which only translates the set, as the free center can: their
-    # scales get zero template columns below, so no norm chases them.
+    # scales are fixed at 0 and get zero template columns.
+    sizes = t.G.any(axis=0) & live[:ngr]
     b = LpBuilder()
-    b.var("phi", ngr, lo=0.0)
+    b.var("phi", ngr, lo=0.0, hi=np.where(sizes, np.inf, 0.0))
     b.var("center", n)
     read = _ah_certificate(b, outer, t.G, Hx[live], fx[live],
                            {"center": np.eye(n), "phi": t.G * s_r},
@@ -402,8 +403,7 @@ def inner_scale(Z_c, template, norm="inf", must_contain=None):
         b.le({name: eye_g, "phi": -eye_g}, np.zeros(ngr))
         b.le({name: -eye_g, "phi": -eye_g}, np.zeros(ngr))
 
-    x = optimize_scaling(b, norm, maximize=True,
-                         template=np.diag(t.G.any(axis=0) & live[:ngr]))
+    x = optimize_scaling(b, norm, maximize=True, template=np.diag(sizes))
     if x is None:
         raise ValueError(
             "no scaling of the template fits inside the target set "
@@ -438,13 +438,16 @@ def make_template(Z_c, kind):
     if kind in ("box", "zonotope"):
         # The zonotope template's shape depends on the basis: keep the
         # least-norm centre and the orthonormal null-space basis here.
+        # The box template reads only the centre.
         if work.n_c:
             s = np.linalg.lstsq(work.A, work.b, rcond=None)[0]
-            T = scipy.linalg.null_space(work.A)
         else:
-            s, T = np.zeros(work.n_g), np.eye(work.n_g)
-        G = np.eye(work.n) if kind == "box" else work.G @ T
-        return Zonotope(work.c + work.G @ s, G)
+            s = np.zeros(work.n_g)
+        center = work.c + work.G @ s
+        if kind == "box":
+            return Zonotope(center, np.eye(work.n))
+        T = scipy.linalg.null_space(work.A) if work.n_c else np.eye(work.n_g)
+        return Zonotope(center, work.G @ T)
     if kind != "drop_pair":
         raise ValueError(f"unknown template kind {kind!r}; choose from {TEMPLATE_KINDS}")
 

@@ -57,18 +57,8 @@ class IntervalVector:
         return cls(np.full(m, -np.inf), np.full(m, np.inf))
 
     @property
-    def empty_mask(self):
-        return self.lo > self.hi
-
-    @property
     def any_empty(self):
-        return bool(self.empty_mask.any())
-
-    def __len__(self):
-        return self.lo.size
-
-    def __getitem__(self, j):
-        return (self.lo[j], self.hi[j])
+        return bool((self.lo > self.hi).any())
 
     def __repr__(self):
         pairs = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(self.lo, self.hi))

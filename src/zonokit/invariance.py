@@ -13,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 from .containment import ScalingResult, _zonotope_certificate
 from .numerics import LpBuilder, NumericalError, optimize_scaling
@@ -27,11 +28,6 @@ from .sets import (
 
 # Stability margin: spectral radius must clear 1 by at least this.
 STABILITY_TOL = 1e-9
-
-# The Riccati recursion stops once its max-norm change falls below
-# RICCATI_TOL (relative to max(1, |P|)), and gives up after RICCATI_STEPS.
-RICCATI_TOL = 1e-12
-RICCATI_STEPS = 200_000
 
 # Largest number of Minkowski terms mrpi_iterative tries.
 S_MAX = 10_000
@@ -229,9 +225,10 @@ def rpi_onestep(sys, s, norm="inf"):
     G = f_s(sys, s).G
 
     # Inner set A Z + W = {[A G diag(phi), G_w], A c + c_w} inside
-    # Z = {G diag(phi), c}: c - (A c + c_w) = G beta.
+    # Z = {G diag(phi), c}: c - (A c + c_w) = G beta.  A zero column of
+    # G sizes nothing; its scale is fixed at 0.
     b = LpBuilder()
-    b.var("phi", G.shape[1], lo=0.0)
+    b.var("phi", G.shape[1], lo=0.0, hi=np.where(G.any(axis=0), np.inf, 0.0))
     b.var("c", n)
     read = _zonotope_certificate(b, G, [(A @ G, True), (W.G, False)],
                                  {"c": A - np.eye(n)}, -W.c, phi_budget=True)
@@ -250,10 +247,12 @@ def rpi_onestep(sys, s, norm="inf"):
 def lqr_closed_loop(A, B, Q, R, W):
     """Discrete LQR closed loop A + B K, packaged as an AutonomousSystem.
 
-    Iterates the Riccati recursion to a fixed point (max-norm change
-    below ``RICCATI_TOL``), takes K = -(R + B'PB)^{-1} B'PA, and pairs the
-    closed-loop matrix with the disturbance set W.  Non-stabilizable
-    pairs never converge and are reported as NumericalError.
+    Solves the discrete algebraic Riccati equation for its stabilizing
+    P with ``scipy.linalg.solve_discrete_are`` (the generalized-eigenvalue
+    method of Arnold and Laub, Proc. IEEE, 1984), takes
+    K = -(R + B'PB)^{-1} B'PA, and pairs the closed-loop matrix with the
+    disturbance set W.  A pair with no stabilizing solution, such as a
+    non-stabilizable (A, B), is reported as NumericalError.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -268,23 +267,12 @@ def lqr_closed_loop(A, B, Q, R, W):
     if Q.shape != (n, n) or R.shape != (m, m):
         raise ValueError("Q must be n x n and R must be m x m")
 
-    P = Q.copy()
-    for _ in range(RICCATI_STEPS):
-        BtP = B.T @ P
-        with np.errstate(over="ignore", invalid="ignore"):
-            K = -np.linalg.solve(R + BtP @ B, BtP @ A)
-            Pn = Q + A.T @ P @ (A + B @ K)
-        if not np.isfinite(Pn).all():
-            raise NumericalError(
-                "Riccati recursion diverged; (A, B) may not be stabilizable")
-        if np.abs(Pn - P).max(initial=0.0) <= \
-                RICCATI_TOL * max(1.0, np.abs(Pn).max()):
-            P = Pn
-            break
-        P = Pn
-    else:
+    try:
+        P = scipy.linalg.solve_discrete_are(A, B, Q, R)
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(
-            "Riccati recursion did not converge; (A, B) may not be stabilizable")
+            "discrete Riccati equation has no stabilizing solution; "
+            f"(A, B) may not be stabilizable: {exc}") from exc
 
     BtP = B.T @ P
     K = -np.linalg.solve(R + BtP @ B, BtP @ A)

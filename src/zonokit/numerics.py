@@ -363,10 +363,12 @@ def optimize_scaling(builder, norm, maximize, template=None):
     optimum along the gradient, the template's column square sums times
     phi, which ends at a documented local optimum, not a global one;
     minimizing it is a QP and raises ValueError.  The inf-norm is one LP
-    that couples every entry of phi to a fresh shared bound variable; it
-    ignores the template.  In norms 1 and 2 the template alone decides
-    which scales count: a zero column gives its scale zero weight, and
-    a weighted scale that the constraints leave unbounded makes the
+    that couples every scale with a nonzero template column to a fresh
+    shared bound variable.  In every norm the template alone decides
+    which scales count: a zero column gives its scale zero weight (the
+    front ends fix such scales at 0 through the "phi" block's upper
+    bound), a template with no nonzero column measures 0, and a
+    weighted scale that the constraints leave unbounded makes the
     program unbounded, which raises :class:`NumericalError`.
 
     Returns the full solution vector, or None when the constraint set
@@ -380,20 +382,21 @@ def optimize_scaling(builder, norm, maximize, template=None):
     if norm == "2" and not maximize:
         raise ValueError("2-norm minimization is a QP; use norm 1 or 'inf'")
     m = builder.size("phi")
+    T = np.eye(m) if template is None else np.asarray(template, dtype=float)
 
     if norm == "inf":
-        builder.var("_phi_bound", 1)
-        S = np.eye(m)
-        tcol = np.ones((m, 1))
+        S = np.eye(m)[T.any(axis=0)]
+        bound = np.inf if len(S) else 0.0  # no weighted scale: size 0
+        builder.var("_phi_bound", 1, lo=-bound, hi=bound)
+        tcol, zeros = np.ones((len(S), 1)), np.zeros(len(S))
         if maximize:
-            # max t with t <= phi_i for all i.
-            builder.le({"_phi_bound": tcol, "phi": -S}, np.zeros(m))
+            # max t with t <= phi_i for every weighted i.
+            builder.le({"_phi_bound": tcol, "phi": -S}, zeros)
         else:
-            # min t with phi_i <= t for all i.
-            builder.le({"phi": S, "_phi_bound": -tcol}, np.zeros(m))
+            # min t with phi_i <= t for every weighted i.
+            builder.le({"phi": S, "_phi_bound": -tcol}, zeros)
         return _solve_scaling(builder, "_phi_bound", np.ones(1), maximize)
 
-    T = np.eye(m) if template is None else np.asarray(template, dtype=float)
     col_sq = (T ** 2).sum(axis=0)
     x = _solve_scaling(builder, "phi", np.abs(T).sum(axis=0), maximize)
     if norm == "1" or x is None:

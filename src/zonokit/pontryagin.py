@@ -95,9 +95,10 @@ def pontryagin_onestep(Z1, Z2, norm="inf"):
     n = Z1.n
     Gt = np.hstack([Z1.G, Z2.G])
 
-    # Inner set {[Gt diag(phi), G2], c_d + c2} inside Z1.
+    # Inner set {[Gt diag(phi), G2], c_d + c2} inside Z1.  A zero
+    # column of Gt sizes nothing; its scale is fixed at 0.
     b = LpBuilder()
-    b.var("phi", Gt.shape[1], lo=0.0)
+    b.var("phi", Gt.shape[1], lo=0.0, hi=np.where(Gt.any(axis=0), np.inf, 0.0))
     b.var("cd", n)
     read = _zonotope_certificate(b, Z1.G, [(Gt, True), (Z2.G, False)],
                                  {"cd": np.eye(n)}, Z1.c - Z2.c)
@@ -134,7 +135,7 @@ def _maximize_template(b, Gt, norm):
     # The row-sum optimum is rarely unique -- a single long generator can
     # match the whole budget -- so pin the winning row and spend any
     # remaining slack on total scale, which picks a full-bodied optimum
-    # over a degenerate one.  A zero template leaves feasibility only.
+    # over a degenerate one.
     if best_row is not None:
         b.le({"phi": -best_row[None, :]}, np.array([1e-9 - best_value]))
-    return optimize_scaling(b, "1", True, template=np.diag(Gt.any(axis=0)))
+    return optimize_scaling(b, "1", True)

@@ -1,5 +1,5 @@
-"""The degenerate corpus through every LP-backed predicate and the
-scaling front-ends.
+"""The degenerate corpus through every LP-backed predicate, the
+scaling front-ends and the set operations.
 
 Each call returns a verdict or a set, checked against the oracle, or
 rejects its input with EmptySetError or ValueError.  A NumericalError
@@ -10,19 +10,24 @@ import numpy as np
 import pytest
 
 from zonokit import (
+    AutonomousSystem,
     EmptySetError,
     Halfspace,
     Zonotope,
     ah_contains,
     contains_point,
+    convex_hull,
     conzono_hyperplane_range,
     conzono_in_halfspace,
     conzono_to_ah,
+    generalized_intersection,
     inner_scale,
     is_empty,
+    linear_map,
     make_template,
     minkowski_sum,
     pontryagin_onestep,
+    rpi_onestep,
 )
 from zonokit.containment import (
     RESIDUAL_TOL,
@@ -138,3 +143,68 @@ def test_scaling_front_ends_on_degenerate_sets(kind):
         top = top or [oracle.support_lp(Z, d) for d in D]
         _assert_inside(S, top, D)
         _assert_inside(minkowski_sum(S, small), top, D)
+
+
+def _oracle_empty(Z):
+    try:
+        oracle.support_lp(Z, np.zeros(Z.n))
+    except EmptySetError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind", DEGENERATE)
+def test_set_operations_on_degenerate_sets(kind):
+    """Sums, maps, intersections and hulls of each member with itself
+    and with a regular set through one of its points, against the
+    oracle's supports and samples."""
+    Z = DEGENERATE[kind]
+    n = Z.n
+    rng = np.random.default_rng(5)
+    D = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(2, n))])
+    R = rng.normal(size=(n, n))
+    empty = _oracle_empty(Z)
+    anchor = np.zeros(n) if empty else oracle.sample_inside(Z, 1, seed=5)[0]
+    regular = Zonotope(anchor, rng.normal(size=(n, n + 1)))
+    image = linear_map(R, Z)
+    if empty:
+        assert _oracle_empty(image)
+    else:
+        for d in D:
+            assert oracle.support_lp(image, d) == pytest.approx(
+                oracle.support_lp(Z, R.T @ d), abs=1e-7)
+    for Y in (Z, regular):
+        total = minkowski_sum(Z, Y)
+        common = generalized_intersection(Z, Y)
+        if empty:
+            assert _oracle_empty(total) and _oracle_empty(common)
+            with pytest.raises(EmptySetError):
+                convex_hull(Z, Y)
+            continue
+        hull = convex_hull(Z, Y)
+        for d in D:
+            z, y = oracle.support_lp(Z, d), oracle.support_lp(Y, d)
+            assert oracle.support_lp(total, d) == pytest.approx(z + y, abs=1e-7)
+            assert oracle.support_lp(hull, d) == pytest.approx(max(z, y), abs=1e-7)
+        for p in oracle.sample_inside(common, 4, seed=5):
+            assert oracle.membership(Z, p) and oracle.membership(Y, p)
+
+
+def test_zero_generators_get_zero_scale():
+    """A template column that sizes nothing comes back with phi 0 in
+    every norm each front end takes, also when no column sizes
+    anything."""
+    Z = DEGENERATE["zero generator"]
+    target = Zonotope([0.0, 0.0], [[2.0, 0.5, 0.3], [0.1, 1.5, -0.4]])
+    small = Zonotope(np.zeros(2), 0.05 * np.eye(2))
+    sys_ = AutonomousSystem([[0.5, 0.2], [0.0, 0.4]],
+                            Zonotope([0.0, 0.0], [[0.1, 0.0, 0.0],
+                                                  [0.0, 0.0, 0.1]]))
+    point = Zonotope([0.1, 0.0], np.zeros((2, 2)))
+    for norm in ("inf", "1", "2"):
+        assert inner_scale(target, Z, norm)[1].phi[1] == 0.0
+        assert (inner_scale(target, point, norm)[1].phi == 0.0).all()
+        assert pontryagin_onestep(Z, small, norm)[1].phi[1] == 0.0
+    for norm in ("inf", "1"):
+        # f_s(sys_, 2) repeats W's zero generator in columns 1, 4 and 7
+        assert (rpi_onestep(sys_, 2, norm)[1].phi[1::3] == 0.0).all()

@@ -32,6 +32,40 @@ def test_every_import_is_used(module):
     assert not unused, f"{module} imports names it never uses: {unused}"
 
 
+def _constants(tree):
+    """UPPER_CASE names a module binds at its top level."""
+    return {target.id for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Name) and target.id.isupper()}
+
+
+def _loads(tree):
+    """Names a module reads, bare or as an attribute."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+# A constant nothing reads is a leftover of code that has gone.
+def test_every_constant_is_read():
+    read = set()
+    for module in MODULES + ["__init__.py"]:
+        read |= _loads(_parse(module))
+    for name in os.listdir(TESTS):
+        if name.endswith(".py"):
+            with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+                read |= _loads(ast.parse(fh.read()))
+    unread = sorted(f"{module}:{name}" for module in MODULES
+                    for name in _constants(_parse(module)) - read)
+    assert not unread, f"module constants nothing reads: {unread}"
+
+
 # The oracle checks the library, so the library must not run its code.
 # The CLI's volume and project subcommands are oracle front-ends.
 ORACLE_USERS = ("oracle.py", "cli.py")

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,21 @@ def test_lqr_rejects_nonstabilizable():
     # second state is uncontrollable and unstable
     with pytest.raises(NumericalError):
         lqr_closed_loop([[2, 0], [0, 2]], [1.0, 0.0], np.eye(2), [[1.0]], W)
+
+
+def test_lqr_rejects_marginal_uncontrollable_pair_at_once():
+    # second state is uncontrollable and marginally stable
+    start = time.perf_counter()
+    with pytest.raises(NumericalError):
+        lqr_closed_loop(np.eye(2), [1.0, 0.0], np.eye(2), [[1.0]], W)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_lqr_closed_loop_matrix(closed_loop):
+    # test_06's closed loop, as the Riccati fixed-point iteration gave it
+    want = np.array([[0.7827583783620363, 0.4857670335248293],
+                     [-0.4344832432759273, -0.028465932950341388]])
+    assert np.abs(closed_loop.A - want).max() <= 1e-12
 
 
 class TestSystemValidation:
