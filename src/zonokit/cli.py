@@ -24,7 +24,7 @@ from .halfspaces import (
 from .hull import convex_hull
 from .invariance import AutonomousSystem, mrpi_iterative, rpi_onestep
 from .io import SchemaError, read_scenario, read_set, write_set
-from .numerics import NumericalError
+from .numerics import SCALING_NORMS, NumericalError
 from .pontryagin import pontryagin_iterative, pontryagin_onestep
 from .reach import WAYSET_STRATEGIES, wayset, wayset_reduce
 from .reduction import reduce_fully
@@ -112,7 +112,7 @@ def build_parser():
                    help="target generator count (plain zonotopes)")
     p.add_argument("--template", choices=TEMPLATE_KINDS,
                    default=None, help="template scaling (constrained sets)")
-    p.add_argument("--norm", choices=("1", "2", "inf"), default=None,
+    p.add_argument("--norm", choices=SCALING_NORMS, default=None,
                    help="norm the template scaling maximizes (default inf)")
     p.add_argument("--contain", type=_vector, default=None,
                    help="point the approximation must contain")

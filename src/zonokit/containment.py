@@ -351,9 +351,8 @@ def inner_scale(Z_c, template, norm="inf", must_contain=None):
     ||phi||_norm subject to the scaled template staying inside Z_c
     (enforced through the affine-polytope containment conditions, which
     stay linear because the scaling is diagonal).  norm=1 and the
-    default norm="inf" are single LPs -- "inf" drives up the smallest
-    scale, which is what keeps the fit full-dimensional -- while norm=2
-    climbs repeated linearizations to a local optimum.
+    default norm="inf" are each one LP; "inf" drives up the smallest
+    scale, which is what keeps the fit full-dimensional.
 
     Points in ``must_contain`` are constrained to lie in the scaled
     template (unconstrained templates only).  Returns the scaled set

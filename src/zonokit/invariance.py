@@ -217,8 +217,7 @@ def rpi_onestep(sys, s, norm="inf"):
     multipliers (gamma = [Gamma1, Gamma2], beta), whose containment
     budgets are relative to phi rather than 1.  Raises ValueError when
     no scaling on this template supports invariance (s too small), and
-    for ``norm="2"``: minimizing the 2-norm is a QP, so only norms
-    "inf" and 1 are accepted.
+    for a norm outside ``numerics.SCALING_NORMS``.
     """
     W, A = sys.W, sys.A
     n = sys.n

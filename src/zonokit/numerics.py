@@ -347,40 +347,32 @@ class LpBuilder:
         return block.reshape(shape, order="F")
 
 
-# Cap on the linearization steps of the 2-norm climb.
-CLIMB_STEPS = 40
+# The norms optimize_scaling accepts; each is one LP.
+SCALING_NORMS = ("1", "inf")
 
 
 def optimize_scaling(builder, norm, maximize, template=None):
     """Optimize the size of ``template diag(phi)`` over the constraint set
-    loaded in a builder, phi being its "phi" block.
+    loaded in a builder, phi being its "phi" block, with one LP.
 
-    ``norm`` is 1, 2 or "inf".  Norms 1 and 2 measure the entrywise norm
-    of ``template diag(phi)``; the default identity template gives
-    ||phi||.  The 1-norm is one LP weighted by the template's column
-    abs-sums.  The 2-norm is only maximized -- a convex maximization, so
-    NP-hard in general -- by a climb of linearizations from the 1-norm
-    optimum along the gradient, the template's column square sums times
-    phi, which ends at a documented local optimum, not a global one;
-    minimizing it is a QP and raises ValueError.  The inf-norm is one LP
-    that couples every scale with a nonzero template column to a fresh
-    shared bound variable.  In every norm the template alone decides
-    which scales count: a zero column gives its scale zero weight (the
-    front ends fix such scales at 0 through the "phi" block's upper
-    bound), a template with no nonzero column measures 0, and a
-    weighted scale that the constraints leave unbounded makes the
-    program unbounded, which raises :class:`NumericalError`.
+    ``norm`` is one of ``SCALING_NORMS``.  The 1-norm measures the
+    entrywise norm of ``template diag(phi)``, weighting each scale by
+    its template column's abs-sum; the default identity template gives
+    ||phi||_1.  The inf-norm couples every scale with a nonzero template
+    column to a fresh shared bound variable.  In both norms the
+    template alone decides which scales count: a zero column gives its
+    scale zero weight (the front ends fix such scales at 0 through the
+    "phi" block's upper bound), a template with no nonzero column
+    measures 0, and a weighted scale that the constraints leave
+    unbounded makes the program unbounded, which raises
+    :class:`NumericalError`.
 
     Returns the full solution vector, or None when the constraint set
-    is empty (callers map this to their own domain errors).  A later
-    2-norm step cannot be infeasible on a nonempty set, so one that
-    comes back infeasible raises :class:`NumericalError`.
+    is empty (callers map this to their own domain errors).
     """
     norm = str(norm).lower()
-    if norm not in ("1", "2", "inf"):
-        raise ValueError("norm must be 1, 2 or 'inf'")
-    if norm == "2" and not maximize:
-        raise ValueError("2-norm minimization is a QP; use norm 1 or 'inf'")
+    if norm not in SCALING_NORMS:
+        raise ValueError(f"norm must be one of {SCALING_NORMS}, not {norm!r}")
     m = builder.size("phi")
     T = np.eye(m) if template is None else np.asarray(template, dtype=float)
 
@@ -397,26 +389,7 @@ def optimize_scaling(builder, norm, maximize, template=None):
             builder.le({"phi": S, "_phi_bound": -tcol}, zeros)
         return _solve_scaling(builder, "_phi_bound", np.ones(1), maximize)
 
-    col_sq = (T ** 2).sum(axis=0)
-    x = _solve_scaling(builder, "phi", np.abs(T).sum(axis=0), maximize)
-    if norm == "1" or x is None:
-        return x
-
-    # 2-norm maximization: climb along the gradient of ||T diag(phi)||^2.
-    prev = -np.inf
-    for _ in range(CLIMB_STEPS):
-        phi = builder.value(x, "phi")
-        size = float(np.sqrt(col_sq @ phi ** 2))
-        if size <= prev + 1e-12:
-            break
-        prev = size
-        grad = col_sq * phi
-        if not grad.any():
-            break
-        x = _solve_scaling(builder, "phi", grad, True)
-        if x is None:
-            raise NumericalError("2-norm climb step is infeasible on a nonempty set")
-    return x
+    return _solve_scaling(builder, "phi", np.abs(T).sum(axis=0), maximize)
 
 
 def _solve_scaling(builder, name, weights, maximize):

@@ -10,7 +10,6 @@ import numpy as np
 
 from .containment import ScalingResult, _zonotope_certificate
 from .numerics import LpBuilder, optimize_scaling
-from .reduction import reduce_fully
 from .sets import (
     EmptySetError,
     Zonotope,
@@ -24,7 +23,7 @@ from .sets import (
 GENERATOR_CAP = 2 ** 20
 
 
-def pontryagin_iterative(Z1, Z2, reduce_steps=False):
+def pontryagin_iterative(Z1, Z2):
     """Exact Pontryagin difference of a constrained zonotope and a zonotope.
 
     Peels one generator of Z2 per step: subtracting a segment
@@ -33,9 +32,7 @@ def pontryagin_iterative(Z1, Z2, reduce_steps=False):
     intersection doubles the representation, so the final sizes are
     n_g = 2^k n_g1 and n_c = 2^k n_c1 + n (2^k - 1) for k = n_g2; the
     call is rejected up front when the predicted generator count
-    exceeds ``GENERATOR_CAP``.  With ``reduce_steps`` the intermediate
-    sets are compacted by reduce_fully after every step (off by
-    default; sizes then no longer follow the closed formulas).
+    exceeds ``GENERATOR_CAP``.
 
     The result may be empty -- Z2 may simply not fit inside Z1 --
     and is returned in that state; test with is_empty.
@@ -56,8 +53,6 @@ def pontryagin_iterative(Z1, Z2, reduce_steps=False):
     out = translate(Z1, -Z2.c)
     for g in Z2.G.T:
         out = generalized_intersection(translate(out, g), translate(out, -g))
-        if reduce_steps:
-            out = reduce_fully(out)
     return out
 
 
@@ -79,8 +74,7 @@ def pontryagin_onestep(Z1, Z2, norm="inf"):
     its largest row sum (one LP per output row, best kept, then a
     tie-break pass that fills the remaining slack so degenerate optima
     do not zero out generators); "1" maximizes the entrywise 1-norm
-    (single LP); "2" maximizes the entrywise 2-norm by iterated
-    linearization from the 1-norm optimum (a documented local optimum).
+    (single LP).  Any other norm raises ValueError.
 
     Mathematical unknowns: n_g1^2 + 2 n_g1 n_g2 + 2 n_g1 + n_g2 + n.
     Returns (Zonotope, ScalingResult).  Infeasibility means no translate

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,15 +6,25 @@ import pytest
 from scipy import sparse
 from scipy.optimize import OptimizeResult, linprog
 
-from zonokit import ConstrainedZonotope, Zonotope, inner_scale, numerics
+from zonokit import (
+    AutonomousSystem,
+    ConstrainedZonotope,
+    Zonotope,
+    inner_scale,
+    numerics,
+    pontryagin_onestep,
+    rpi_onestep,
+)
+from zonokit.cli import USAGE_ERROR, main
+from zonokit.io import write_set
 from zonokit.numerics import (
     INFEASIBLE,
     OPTIMAL,
+    SCALING_NORMS,
     SPARSE_ENTRIES,
     UNBOUNDED,
     LinearProgram,
     LpBuilder,
-    LpOutcome,
     NumericalError,
     _optimum,
     gauss_jordan_full_pivot,
@@ -251,14 +262,14 @@ FIRST_THREE = np.eye(4)[:3]
 
 class TestOptimizeScaling:
     @pytest.mark.parametrize("norm, maximize", [
-        ("1", True), ("2", True), ("1", False), ("inf", False), ("inf", True)])
+        ("1", True), ("1", False), ("inf", False), ("inf", True)])
     def test_identity_template_is_the_default(self, norm, maximize):
         b0, b1 = bounded_scaling_builder(), bounded_scaling_builder()
         x0 = optimize_scaling(b0, norm, maximize)
         x1 = optimize_scaling(b1, norm, maximize, template=np.eye(4))
         assert np.array_equal(x0, x1)
 
-    @pytest.mark.parametrize("norm", ["1", "2"])
+    @pytest.mark.parametrize("norm", ["1"])
     def test_untouched_entry_gets_zero_weight(self, norm):
         # A zero template column leaves out phi_3, which would make the
         # maximization unbounded.
@@ -269,12 +280,12 @@ class TestOptimizeScaling:
             assert phi[0] + phi[1] == pytest.approx(1.0)
             assert phi[2] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("norm", ["1", "2"])
+    @pytest.mark.parametrize("norm", ["1"])
     def test_weighting_an_unbounded_scale_raises(self, norm):
         with pytest.raises(NumericalError, match="unbounded"):
             optimize_scaling(scaling_builder(), norm, True)
 
-    @pytest.mark.parametrize("norm", ["1", "2"])
+    @pytest.mark.parametrize("norm", ["1"])
     def test_template_weights_pick_the_longer_column(self, norm):
         b = scaling_builder()
         template = np.array([[3.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
@@ -282,29 +293,33 @@ class TestOptimizeScaling:
                                        template=template), "phi")
         assert phi[:3] == pytest.approx([1.0, 0.0, 1.0])
 
-    @pytest.mark.parametrize("norm", ["1", "2", "inf"])
+    @pytest.mark.parametrize("norm", SCALING_NORMS)
     def test_empty_constraint_set_gives_none(self, norm):
         b = scaling_builder()
         b.le({"phi": [[-1.0, 0.0, 0.0, 0.0]]}, [-2.0])  # phi_0 >= 2 > 1
         assert optimize_scaling(b, norm, True) is None
 
-    def test_infeasible_climb_step_raises(self, monkeypatch):
-        # Only the first program, the 1-norm start, is solved.
-        solve = numerics.solve_lp
-        solved = []
 
-        def solve_once(p):
-            solved.append(p)
-            return solve(p) if len(solved) == 1 else LpOutcome(INFEASIBLE)
-
-        monkeypatch.setattr(numerics, "solve_lp", solve_once)
-        with pytest.raises(NumericalError, match="climb"):
-            optimize_scaling(scaling_builder(), "2", True, template=FIRST_THREE)
-        assert len(solved) == 2
-
-    def test_minimizing_the_2_norm_is_rejected(self):
-        with pytest.raises(ValueError, match="use norm 1 or 'inf'"):
-            optimize_scaling(scaling_builder(), "2", False)
+def test_every_scaling_front_end_rejects_norm_2(tmp_path):
+    # Each accepted norm is one LP; no front end takes another.
+    Z = Zonotope([0.0, 0.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 0.5]])
+    small = Zonotope([0.0, 0.0], 0.1 * np.eye(2))
+    sys_ = AutonomousSystem([[0.5, 0.2], [0.0, 0.4]], small)
+    calls = [
+        lambda: optimize_scaling(bounded_scaling_builder(), "2", True),
+        lambda: optimize_scaling(bounded_scaling_builder(), "2", False),
+        lambda: inner_scale(Z, small, norm="2"),
+        lambda: pontryagin_onestep(Z, small, norm="2"),
+        lambda: rpi_onestep(sys_, 2, norm="2"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(str(SCALING_NORMS))):
+            call()
+    z, out = tmp_path / "z.json", tmp_path / "out.json"
+    write_set(z, Z)
+    assert main(["inner", str(z), "--template", "box", "--norm", "2",
+                 "-o", str(out)]) == USAGE_ERROR
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("left, right", [

@@ -57,12 +57,12 @@ def assert_onestep_certified(Z1, Z2, norm):
     return S
 
 
-@pytest.mark.parametrize("norm", ["inf", "1", "2"])
+@pytest.mark.parametrize("norm", numerics.SCALING_NORMS)
 def test_onestep_certificate_meets_its_equations(norm):
     assert_onestep_certified(Z1_3D, Z2_3D, norm)
 
 
-@pytest.mark.parametrize("norm", ["inf", "1", "2"])
+@pytest.mark.parametrize("norm", numerics.SCALING_NORMS)
 @pytest.mark.parametrize("zero_in", ["Z1", "Z2"])
 def test_onestep_with_a_zero_generator(norm, zero_in):
     # A zero template column sizes nothing; its scale must not make the
@@ -111,7 +111,7 @@ def test_subtracting_a_point_translates():
     assert oracle.sets_equal(D, Zonotope([0.75, 2.5], Z1.G))
 
 
-@pytest.mark.parametrize("norm", ["1", "2"])
+@pytest.mark.parametrize("norm", ["1"])
 def test_alternate_norms_still_certify(norm):
     rng = np.random.default_rng(3)
     Z1 = make_zonotope(rng, 2, 4)
@@ -131,16 +131,6 @@ def test_argument_validation(monkeypatch):
     monkeypatch.setattr(pontryagin, "GENERATOR_CAP", 32)
     with pytest.raises(ValueError, match="cap 32"):
         pontryagin_iterative(Z1_3D, Z2_3D)
-
-
-def test_reduce_steps_keeps_the_set():
-    rng = np.random.default_rng(5)
-    Z1 = make_zonotope(rng, 2, 4)
-    Z2 = Zonotope(np.zeros(2), 0.15 * rng.normal(size=(2, 2)))
-    D_raw = pontryagin_iterative(Z1, Z2)
-    D_red = pontryagin_iterative(Z1, Z2, reduce_steps=True)
-    assert D_red.n_g <= D_raw.n_g and D_red.n_c <= D_raw.n_c
-    assert oracle.sets_equal(D_raw, D_red, grid=7)
 
 
 def test_decision_var_count(monkeypatch):
