@@ -163,15 +163,24 @@ def conzono_hyperplane_range(Z, hs):
 
 
 def _solved_ranges(a, rhs, lo, hi):
-    """Per j, (rhs - sum_{k != j} a_k [lo_k, hi_k]) / a_j as arrays (lo, hi);
-    inf or nan where a_j = 0.  Leave-one-out sums are whole-array sums
-    minus one term, so the entries passed in fix the rounding."""
+    """Per row of ``a`` and per entry j, (rhs - sum_{k != j} a_k [lo_k, hi_k])
+    / a_j as arrays (lo, hi) shaped like ``a``; inf or nan where a_j = 0.
+
+    ``a`` is one row (m,) with a scalar ``rhs``, or a stack (p, m) with one
+    rhs per row; ``lo`` and ``hi`` broadcast against it.  Leave-one-out
+    sums are each row's own sum minus one term, so the entries passed in
+    fix the rounding, and a row of a stack rounds exactly as it does alone.
+    """
     t1 = a * lo
     t2 = a * hi
     plo = np.minimum(t1, t2)
     phi = np.maximum(t1, t2)
-    r_lo = (rhs - (phi.sum() - phi)) / a
-    r_hi = (rhs - (plo.sum() - plo)) / a
+    s_lo = np.add.reduce(plo, -1)
+    s_hi = np.add.reduce(phi, -1)
+    if a.ndim == 2:  # one rhs and one sum per row
+        rhs, s_lo, s_hi = rhs[:, None], s_lo[:, None], s_hi[:, None]
+    r_lo = (rhs - (s_hi - phi)) / a
+    r_hi = (rhs - (s_lo - plo)) / a
     neg = a < 0.0
     return np.where(neg, r_hi, r_lo), np.where(neg, r_lo, r_hi)
 
@@ -190,6 +199,12 @@ def interval_refine(Z, iterations=2):
     rounding cannot manufacture a spurious emptiness certificate.  If
     any E_j becomes empty the set is certifiably empty.
 
+    Each row's nonzero columns and entries are gathered once.  The first
+    sweep runs every row; after it, a row runs again only when E has
+    moved on one of its columns since the row last read E.  A re-run on
+    an unmoved E recomputes the same ranges and moves nothing, so E and
+    R are bit-identical to running every row in every sweep.
+
     Returns the pair (E, R) of IntervalVectors.
     """
     if iterations < 1:
@@ -197,20 +212,37 @@ def interval_refine(Z, iterations=2):
     m = Z.n_g
     E = IntervalVector.unit(m)
     R = IntervalVector.reals(m)
-    for _ in range(iterations):
-        for i in range(Z.n_c):
-            row = Z.A[i]
-            nz = np.flatnonzero(np.abs(row) > DIV_TOL)
-            if nz.size == 0:
+    rows = []
+    for row, keep, rhs in zip(Z.A, np.abs(Z.A) > DIV_TOL, Z.b):
+        nz = keep.nonzero()[0]
+        if nz.size:
+            rows.append((nz, row[nz], rhs))
+    # Row runs are numbered in order: moved[j] is the run that last moved
+    # E_j, read[i] the run in which row i last read E.
+    moved = np.full(m, -1)
+    read = [0] * len(rows)
+    run = 0
+    for sweep in range(iterations):
+        for i, (nz, a, rhs) in enumerate(rows):
+            if sweep and moved[nz].max() < read[i]:
                 continue
+            read[i] = run
             # Each entry is solved against E as it was before this row.
-            lo, hi = _solved_ranges(row[nz], Z.b[i], E.lo[nz], E.hi[nz])
-            R.lo[nz] = np.maximum(R.lo[nz], lo - PAD)
-            R.hi[nz] = np.minimum(R.hi[nz], hi + PAD)
-            E.lo[nz] = np.maximum(E.lo[nz], R.lo[nz])
-            E.hi[nz] = np.minimum(E.hi[nz], R.hi[nz])
-            if E.any_empty:
-                return E, R
+            e_lo, e_hi = E.lo[nz], E.hi[nz]
+            lo, hi = _solved_ranges(a, rhs, e_lo, e_hi)
+            r_lo = np.maximum(R.lo[nz], lo - PAD)
+            r_hi = np.minimum(R.hi[nz], hi + PAD)
+            R.lo[nz], R.hi[nz] = r_lo, r_hi
+            new_lo = np.maximum(e_lo, r_lo)
+            new_hi = np.minimum(e_hi, r_hi)
+            E.lo[nz], E.hi[nz] = new_lo, new_hi
+            # Only this row's columns moved, and only they can turn empty.
+            cols = nz[(new_lo != e_lo) | (new_hi != e_hi)]
+            if cols.size:
+                moved[cols] = run
+                if (new_lo > new_hi).any():
+                    return E, R
+            run += 1
     return E, R
 
 

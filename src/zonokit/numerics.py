@@ -216,7 +216,8 @@ def gauss_jordan_full_pivot(A, b):
         col_perm[[k, pc]] = col_perm[[pc, k]]
         M[k] /= M[k, k]
         # Rows zero in the pivot column are skipped: their signed zeros stay.
-        rows = np.setdiff1d(np.flatnonzero(M[:, k]), [k])
+        rows = np.flatnonzero(M[:, k])
+        rows = rows[rows != k]
         M[rows] -= np.outer(M[rows, k], M[k])
         rank += 1
 

@@ -112,26 +112,23 @@ def _redundant_pair(work, E):
     if E.any_empty:
         return None
     A, bb = work.A, work.b
-
-    def unit_cols(r, lo, hi):
-        """Columns c of row r whose solved range R_rc lies in [-1, 1]."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lo, hi = _solved_ranges(A[r], bb[r], lo, hi)
-        return np.flatnonzero((np.abs(A[r]) > DIV_TOL)
-                              & (lo >= -1.0 - CONTAIN_TOL)
-                              & (hi <= 1.0 + CONTAIN_TOL))
-
-    # (|a_rc|, r, c) passing the cheap necessary test, largest first
-    candidates = sorted(((abs(A[r, c]), r, c) for r in range(work.n_c)
-                         for c in unit_cols(r, E.lo, E.hi)), reverse=True)
-    for _, r, c in candidates:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi = _solved_ranges(A, bb, E.lo, E.hi)
+    # (r, c) whose solved range R_rc lies in [-1, 1] (the cheap necessary
+    # test), largest |a_rc| first, ties in descending (r, c)
+    rs, cs = np.nonzero((np.abs(A) > DIV_TOL)
+                        & (lo >= -1.0 - CONTAIN_TOL) & (hi <= 1.0 + CONTAIN_TOL))
+    order = np.argsort(np.abs(A[rs, cs]), kind="stable")[::-1]
+    for r, c in zip(rs[order], cs[order]):
         out = eliminate_pair(work, r, c)
         E_out, _ = interval_refine(out)
         if E_out.any_empty:
             continue
         # Column c is gone from out; put it back unrefined.
-        if c in unit_cols(r, np.insert(E_out.lo, c, -1.0),
-                          np.insert(E_out.hi, c, 1.0)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo, hi = _solved_ranges(A[r], bb[r], np.insert(E_out.lo, c, -1.0),
+                                    np.insert(E_out.hi, c, 1.0))
+        if lo[c] >= -1.0 - CONTAIN_TOL and hi[c] <= 1.0 + CONTAIN_TOL:
             return out, E_out
     return None
 

@@ -22,12 +22,17 @@ from zonokit import (
     conzono_to_ah,
     generalized_intersection,
     inner_scale,
+    interval_refine,
     is_empty,
     linear_map,
     make_template,
+    merge_parallel_generators,
     minkowski_sum,
     pontryagin_onestep,
+    reduce_fully,
+    remove_redundant_pair,
     rpi_onestep,
+    wayset_reduce,
 )
 from zonokit.containment import (
     RESIDUAL_TOL,
@@ -189,6 +194,34 @@ def test_set_operations_on_degenerate_sets(kind):
             assert oracle.support_lp(hull, d) == pytest.approx(max(z, y), abs=1e-7)
         for p in oracle.sample_inside(common, 4, seed=5):
             assert oracle.membership(Z, p) and oracle.membership(Y, p)
+
+
+@pytest.mark.parametrize("kind", DEGENERATE)
+def test_reductions_on_degenerate_sets(kind):
+    """Every reduction returns the set it is given (checked by the oracle
+    where n <= 3, on the axis supports above), and refinement certifies
+    only empty sets empty and keeps every feasible coefficient."""
+    Z = DEGENERATE[kind]
+    empty = _oracle_empty(Z)
+    reduced = [reduce_fully(Z), remove_redundant_pair(Z)[0], wayset_reduce(Z),
+               merge_parallel_generators(Z)]
+    for out in reduced:
+        if Z.n <= 3:
+            assert oracle.sets_equal(out, Z, grid=5)
+        elif empty:
+            assert _oracle_empty(out)
+        else:
+            for d in np.vstack([np.eye(Z.n), -np.eye(Z.n)]):
+                assert oracle.support_lp(out, d) == pytest.approx(
+                    oracle.support_lp(Z, d), abs=1e-7)
+    E, R = interval_refine(Z)
+    assert E.lo.size == R.lo.size == Z.n_g
+    if E.any_empty:
+        assert empty
+    elif not empty:
+        coeffs = oracle.sample_coeffs(Z, 20, seed=6)
+        for I in (E, R):
+            assert (coeffs >= I.lo - 1e-6).all() and (coeffs <= I.hi + 1e-6).all()
 
 
 def test_zero_generators_get_zero_scale():

@@ -1,3 +1,6 @@
+import functools
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,15 +19,20 @@ from zonokit import (
     intersect_hpolytope,
     interval_refine,
     is_empty,
+    linear_map,
+    minkowski_sum,
+    wayset,
     zonotope_halfspace_intersection,
     zonotope_hyperplane_intersects,
 )
-from zonokit.halfspaces import DIV_TOL, _solved_ranges, refine_certifies_empty
+from zonokit.halfspaces import DIV_TOL, _raw_cut, _solved_ranges, refine_certifies_empty
+from zonokit.io import read_scenario
 from zonokit.numerics import INFEASIBLE, LinearProgram, NumericalError, solve_lp
+from zonokit.reduction import _canonical
 from zonokit.sets import TOL
-from zonokit import numerics, oracle
+from zonokit import halfspaces, numerics, oracle
 
-from conftest import make_conzono, make_no_generators, make_zonotope
+from conftest import FIXTURES, make_conzono, make_no_generators, make_zonotope
 
 
 # Worked 2-D cut used across this file: a two-generator zonotope cut by
@@ -179,6 +187,37 @@ def _scalar_refine(Z, iterations=2, pad=1e-12):
     return E, R
 
 
+def _wayset_systems():
+    """The systems refinement meets on the bundled scenario at N = 10: the
+    raw cut of every IA screen of a constrained set (replaying the IA
+    wayset), and the canonical forms wayset_reduce starts from for the IA
+    and GI waysets (constraints 16 x 46 and 30 x 60 before reduction)."""
+    doc = read_scenario(os.path.join(FIXTURES, "backward_reach_scenario.json"))
+    sys_ = doc.system
+    input_pre = linear_map(-sys_.A_inv @ sys_.B, sys_.U)
+    Z = Zonotope.singleton(doc.x_star)
+    probes = []
+    for _ in range(doc.N):
+        Z = minkowski_sum(linear_map(sys_.A_inv, Z), input_pre)
+        for hs in sys_.X.halfspaces():
+            if Z.n_c:
+                probes.append(_raw_cut(Z, Halfspace(-hs.h, -hs.f)))
+            if not conzono_in_halfspace(Z, hs, "IA"):
+                Z = conzono_halfspace_intersection(Z, hs)
+    forms = [_canonical(wayset(sys_, doc.x_star, doc.N, strategy=s)[0])
+             for s in ("IA", "GI")]
+    return probes + forms
+
+
+# Row 0 tightens nothing, so the second sweep skips it; rows 1 and 2
+# pin xi_2 and xi_3 to subintervals and run again.
+PARTLY_FIXED = ConstrainedZonotope(
+    [0.0, 0.0], np.ones((2, 4)),
+    [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, -1.0]],
+    [0.0, 1.2, 0.2])
+
+
+@functools.cache
 def _kernel_cases():
     rng = np.random.default_rng(11)
     cases = []
@@ -194,7 +233,13 @@ def _kernel_cases():
         cases.append(ConstrainedZonotope(Zc.c, Zc.G, A, b))
     cases.append(ConstrainedZonotope([0.0, 0.0], np.zeros((2, 0)),
                                      np.zeros((2, 0)), [0.0, 0.0]))
-    return cases
+    return tuple(cases + _wayset_systems() + [PARTLY_FIXED])
+
+
+def test_kernel_cases_cover_wayset_systems():
+    sizes = [(Z.n_c, Z.n_g) for Z in _kernel_cases()[31:-1]]
+    # 18 raw cuts (six screens at each of steps 8 to 10), then the two forms
+    assert len(sizes) == 20 and sizes[-2:] == [(16, 46), (30, 60)]
 
 
 @pytest.mark.parametrize("iterations", [1, 2, 4])
@@ -205,6 +250,36 @@ def test_array_kernel_matches_scalar_loop(iterations):
         for got, want in ((E, E_ref), (R, R_ref)):
             assert np.array_equal(got.lo, want.lo)
             assert np.array_equal(got.hi, want.hi)
+
+
+def test_refinement_reruns_only_rows_whose_columns_moved(monkeypatch):
+    runs = []
+    monkeypatch.setattr(halfspaces, "_solved_ranges",
+                        lambda a, *rest: runs.append(a) or _solved_ranges(a, *rest))
+    E, _ = interval_refine(PARTLY_FIXED, iterations=2)
+    assert [a.size for a in runs] == [2, 2, 2, 2, 2]  # rows 0, 1, 2, 1, 2
+    assert E.lo[0] == -1.0 and E.hi[1] == 1.0
+    assert 0.4 - 1e-9 < E.lo[2] and E.hi[3] < 0.8 + 1e-9
+
+
+def test_solved_ranges_of_a_stack_match_row_by_row_calls():
+    """Bit for bit, zero entries (inf or nan) included."""
+    rng = np.random.default_rng(13)
+    checked = 0
+    for Zc in _kernel_cases():
+        if Zc.n_c < 2:
+            continue
+        m = Zc.n_g
+        for lo, hi in ((-np.ones(m), np.ones(m)),
+                       (rng.uniform(-1.0, 0.0, m), rng.uniform(0.0, 1.0, m))):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                stacked = _solved_ranges(Zc.A, Zc.b, lo, hi)
+                rows = [_solved_ranges(a, rhs, lo, hi) for a, rhs in zip(Zc.A, Zc.b)]
+            for got, want in zip(stacked, zip(*rows)):
+                assert got.shape == Zc.A.shape
+                assert got.tobytes() == np.array(want).tobytes()
+            checked += 1
+    assert checked > 40
 
 
 def test_solved_ranges_match_scalar_formula():

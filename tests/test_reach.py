@@ -20,6 +20,10 @@ from zonokit import oracle
 # under a 10-step horizon).
 RAW_SIZES = {"ZH": (7, 37), "GI": (30, 60), "LP": (7, 37), "IA": (16, 46)}
 
+# Sizes wayset_reduce leaves of the N = 20 waysets.
+REDUCED_SIZES_N20 = {"ZH": (39, 99), "LP": (30, 90), "IA": (39, 99),
+                     "GI": (36, 96)}
+
 
 @pytest.fixture(scope="module")
 def waysets(vehicle_scenario):
@@ -38,6 +42,16 @@ class TestVehicleScenario:
         for Z in reduced.values():
             assert (Z.n_c, Z.n_g) == (7, 37)
         assert oracle.sets_equal(reduced["GI"], reduced["LP"], grid=5)
+
+    def test_long_horizon_reduced_sizes(self, vehicle_scenario):
+        """At N = 20 the interval test leaves strategy-dependent sizes;
+        a refinement change that moves one shows here."""
+        doc = vehicle_scenario
+        got = {}
+        for s in REDUCED_SIZES_N20:
+            Z = wayset_reduce(wayset(doc.system, doc.x_star, 20, strategy=s)[0])
+            got[s] = (Z.n_c, Z.n_g)
+        assert got == REDUCED_SIZES_N20
 
     def test_strategies_agree_as_sets(self, waysets):
         base = waysets["LP"]
