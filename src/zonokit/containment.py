@@ -209,10 +209,6 @@ class AhPolytope:
     def n(self):
         return self.xbar.size
 
-    def point(self, xi):
-        """Map a coefficient vector into the ambient space."""
-        return self.xbar + self.X @ np.asarray(xi, dtype=float).reshape(-1)
-
     def __repr__(self):
         return f"AhPolytope(n={self.n}, coeff_dim={self.X.shape[1]}, facets={self.P.n_h})"
 

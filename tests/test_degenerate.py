@@ -13,6 +13,7 @@ from zonokit import (
     AutonomousSystem,
     EmptySetError,
     Halfspace,
+    HPolytope,
     Zonotope,
     ah_contains,
     contains_point,
@@ -23,6 +24,7 @@ from zonokit import (
     generalized_intersection,
     inner_scale,
     interval_refine,
+    intersect_hpolytope,
     is_empty,
     linear_map,
     make_template,
@@ -194,6 +196,61 @@ def test_set_operations_on_degenerate_sets(kind):
             assert oracle.support_lp(hull, d) == pytest.approx(max(z, y), abs=1e-7)
         for p in oracle.sample_inside(common, 4, seed=5):
             assert oracle.membership(Z, p) and oracle.membership(Y, p)
+
+
+def _cut_polytopes(Z, empty, rng):
+    """A random direction h, and polytopes tangent to Z from outside and
+    at its lowest face along h, cutting it, missing it, and far off."""
+    n = Z.n
+    h = rng.normal(size=n)
+    h /= np.linalg.norm(h)
+    if empty:
+        top = bottom = h @ Z.c
+        anchor = Z.c
+    else:
+        top, bottom = oracle.support_lp(Z, h), -oracle.support_lp(Z, -h)
+        anchor = oracle.sample_inside(Z, 1, seed=8)[0]
+    box = np.vstack([np.eye(n), -np.eye(n)])
+    return h, {
+        "tangent": HPolytope([h], [top]),
+        "tangent face": HPolytope([h], [bottom]),
+        "cutting": HPolytope([h], [0.5 * (top + bottom)]),
+        "cutting box": HPolytope(box, np.concatenate([anchor + 0.3,
+                                                      0.3 - anchor])),
+        "missing": HPolytope([h], [bottom - 1.0]),
+        "far off": HPolytope(box, np.concatenate([Z.c + 100.0,
+                                                  -98.0 - Z.c])),
+    }
+
+
+@pytest.mark.parametrize("kind", DEGENERATE)
+def test_halfspace_cuts_on_degenerate_sets(kind):
+    """Z cut by tangent, cutting, missing and far-off polytopes under
+    every strategy keeps every sampled point of Z in P, and samples only
+    points in both; the cut of an empty member is empty."""
+    Z = DEGENERATE[kind]
+    empty = _oracle_empty(Z)
+    rng = np.random.default_rng(9)
+    h, polytopes = _cut_polytopes(Z, empty, rng)
+    points = np.zeros((0, Z.n))
+    if not empty:
+        # the two touching points put samples on the tangent face
+        points = np.vstack([oracle.sample_inside(Z, 24, seed=9),
+                            oracle._support_point(Z, h)[1],
+                            oracle._support_point(Z, -h)[1]])
+    for name, P in polytopes.items():
+        kept = points[(points @ P.H.T <= P.f + TOL).all(axis=1)]
+        for strategy in ("ZH", "LP", "IA", "GI"):
+            cut = intersect_hpolytope(Z, P, strategy)
+            assert (oracle._sup_distances(cut, kept) <= BAND).all(), \
+                (name, strategy)
+            if _oracle_empty(cut):
+                continue
+            assert not empty, (name, strategy)
+            inside = oracle.sample_inside(cut, 12, seed=10)
+            assert (oracle._sup_distances(Z, inside) <= BAND).all(), \
+                (name, strategy)
+            assert (inside @ P.H.T <= P.f + BAND).all(), (name, strategy)
 
 
 @pytest.mark.parametrize("kind", DEGENERATE)

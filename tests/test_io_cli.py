@@ -97,18 +97,25 @@ class TestCli:
     def run(self, *argv):
         return main([str(a) for a in argv])
 
-    @pytest.mark.parametrize("operand", ["set", "point"])
+    @pytest.mark.parametrize("operand", ["set", "point", "point-first",
+                                         "points"])
     def test_hull_matches_library(self, tmp_path, operand):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         out = tmp_path / "out.json"
         Z = make_conzono(np.random.default_rng(5), 2, 4, 1)
-        other = (Zonotope([3.0, 0.0], [[0.5, 0.2], [0.0, 1.0]])
-                 if operand == "set" else np.array([-3.0, 1.0]))
-        write_set(a, Z)
-        write_set(b, other)
+        x = np.array([-3.0, 1.0])
+        # either operand may be a point
+        first, second = {
+            "set": (Z, Zonotope([3.0, 0.0], [[0.5, 0.2], [0.0, 1.0]])),
+            "point": (Z, x),
+            "point-first": (x, Z),
+            "points": (x, np.array([2.0, 0.5])),
+        }[operand]
+        write_set(a, first)
+        write_set(b, second)
         assert self.run("hull", a, b, "-o", out) == 0
-        assert_written(out, convex_hull(Z, other))
+        assert_written(out, convex_hull(first, second))
 
     @pytest.mark.parametrize("method", ["--s", "--eps"])
     def test_rpi_matches_library(self, tmp_path, method):
@@ -368,6 +375,26 @@ class TestCli:
                         "-o", out) == 0
         inner = read_set(out)
         assert oracle.volume_ratio(inner, Z) > 0.99
+
+    @pytest.mark.parametrize("flags", [
+        ["--order", "2", "--template", "box"], []], ids=["both", "neither"])
+    def test_inner_takes_exactly_one_of_order_and_template(
+            self, tmp_path, capsys, flags):
+        z = tmp_path / "z.json"
+        out = tmp_path / "out.json"
+        write_set(z, Zonotope([0.0, 0.0],
+                              [[1.0, 0.0, 1.0, 0.5], [0.0, 1.0, 1.0, -0.5]]))
+        assert self.run("inner", z, *flags, "-o", out) == cli.USAGE_ERROR
+        assert "zonokit inner: error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_subcommand_has_help(self, capsys):
+        sub = next(a for a in cli.build_parser()._actions
+                   if a.dest == "command")
+        assert len(sub.choices) == 13
+        for name in sub.choices:
+            assert self.run(name, "--help") == 0
+            assert capsys.readouterr().out.startswith(f"usage: zonokit {name}")
 
     def test_norm_choices_are_the_scaling_norms(self):
         parser = cli.build_parser()
