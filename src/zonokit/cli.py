@@ -161,10 +161,14 @@ def build_parser():
 
 
 def _read(path, what, *also):
-    """The set at path: a (constrained) zonotope or one of the also types."""
+    """The set at path: a (constrained) zonotope or one of the also types
+    (np.ndarray for a point, HPolytope)."""
     obj = read_set(path)
     if not isinstance(obj, (ConstrainedZonotope,) + also):
-        raise ValueError(f"{what} must be a zonotope or constrained zonotope")
+        kinds = ["zonotope", "constrained zonotope"] + [
+            {np.ndarray: "point", HPolytope: "hpolytope"}[t] for t in also]
+        raise ValueError(
+            f"{what} must be a {', '.join(kinds[:-1])} or {kinds[-1]}")
     return obj
 
 
@@ -182,6 +186,9 @@ def _intersect(args):
     b = _read(args.b, "operand", HPolytope)
     if not isinstance(b, HPolytope):
         return generalized_intersection(a, b, args.R)
+    if args.R is not None and args.R.shape[0] != b.n:
+        raise ValueError(
+            f"R has {args.R.shape[0]} rows but b lives in R^{b.n}")
     # {z : R z in b}; a zero row of H R reads 0 <= f
     H = b.H if args.R is None else b.H @ args.R
     live = np.abs(H).sum(axis=1) > 0.0

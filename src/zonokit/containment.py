@@ -423,8 +423,10 @@ def make_template(Z_c, kind):
     lossless.
 
     "zonotope" drops all constraints via the null-space change of
-    variables; "box" is an axis-aligned unit template at an interior
-    point.  Scales are not chosen here -- inner_scale decides them.
+    variables; "box" is an axis-aligned unit template.  Both are
+    centred at c + G s for the least-norm solution s of A s = b, which
+    can have |s_i| > 1 and so lie outside Z_c.  Neither the scales nor
+    the centre is final: inner_scale chooses both.
     """
     work = _canonical(as_conzono(Z_c))
     if work is None:

@@ -94,10 +94,6 @@ class LpOutcome:
         self.x = x
         self.value = value
 
-    @property
-    def ok(self):
-        return self.status == OPTIMAL
-
     def __repr__(self):
         return f"LpOutcome({self.status}, value={self.value})"
 

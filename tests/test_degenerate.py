@@ -14,6 +14,7 @@ from zonokit import (
     EmptySetError,
     Halfspace,
     HPolytope,
+    LinearSystem,
     Zonotope,
     ah_contains,
     contains_point,
@@ -34,6 +35,8 @@ from zonokit import (
     reduce_fully,
     remove_redundant_pair,
     rpi_onestep,
+    support,
+    wayset,
     wayset_reduce,
 )
 from zonokit.containment import (
@@ -43,6 +46,7 @@ from zonokit.containment import (
     zonotope_containment_residual,
 )
 from zonokit.numerics import SCALING_NORMS
+from zonokit.reach import WAYSET_STRATEGIES
 from zonokit.sets import TOL
 from zonokit import oracle
 
@@ -298,3 +302,40 @@ def test_zero_generators_get_zero_scale():
         assert pontryagin_onestep(Z, small, norm)[1].phi[1] == 0.0
         # f_s(sys_, 2) repeats W's zero generator in columns 1, 4 and 7
         assert (rpi_onestep(sys_, 2, norm)[1].phi[1::3] == 0.0).all()
+
+
+# Double integrator whose two inputs act through one column of B (rank
+# 1).  U has a zero generator (column 1) and a duplicated one (column
+# 2 repeats column 0), so every input-preimage generator is parallel.
+# From the origin, the first backward step gives a segment that touches
+# both x1 = 1.5 and x1 = -1.5.
+DEGENERATE_SYSTEM = LinearSystem(
+    [[1.0, 1.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 2.0]],
+    HPolytope(np.vstack([np.eye(2), -np.eye(2)]), [1.5, 3.0, 1.5, 3.0]),
+    Zonotope([0.0, 0.0], [[0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.25]]))
+# Every state one backward step from this target has x1 >= 8.5.
+UNREACHABLE = [10.0, 0.0]
+
+
+def test_waysets_on_a_degenerate_system():
+    """Whole waysets under every strategy are one set, which the horizon
+    LP confirms on samples and which the reductions keep; the
+    unreachable target gives an empty wayset under every strategy."""
+    sys_, N = DEGENERATE_SYSTEM, 3
+    assert np.linalg.matrix_rank(sys_.B) == 1
+    runs = {s: wayset(sys_, np.zeros(2), N, s, keep_trace=True)
+            for s in WAYSET_STRATEGIES}
+    first = runs["LP"][1][0]
+    assert first.n_c == 0  # tangent, so not cut
+    assert support(first, [1.0, 0.0]) == support(first, [-1.0, 0.0]) == 1.5
+    Z = runs["LP"][0]
+    for strategy, (W, _) in runs.items():
+        assert oracle.sets_equal(W, Z), strategy
+    for x0 in oracle.sample_inside(Z, 12, seed=8):
+        assert oracle.horizon_feasible(sys_, x0, np.zeros(2), N)
+    merged = merge_parallel_generators(Z)
+    assert merged.n_g < Z.n_g
+    for reduced in (wayset_reduce(Z), reduce_fully(Z), merged):
+        assert oracle.sets_equal(reduced, Z)
+    for strategy in WAYSET_STRATEGIES:
+        assert is_empty(wayset(sys_, UNREACHABLE, N, strategy)[0]), strategy

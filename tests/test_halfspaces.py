@@ -27,7 +27,7 @@ from zonokit import (
 )
 from zonokit.halfspaces import DIV_TOL, _raw_cut, _solved_ranges, refine_certifies_empty
 from zonokit.io import read_scenario
-from zonokit.numerics import INFEASIBLE, LinearProgram, NumericalError, solve_lp
+from zonokit.numerics import INFEASIBLE, OPTIMAL, LinearProgram, NumericalError, solve_lp
 from zonokit.reduction import _canonical
 from zonokit.sets import TOL
 from zonokit import halfspaces, numerics, oracle
@@ -364,7 +364,7 @@ def _two_lp_verdict(Z, hs):
     out_max = solve_lp(LinearProgram(obj, maximize=True, **box))
     if INFEASIBLE in (out_min.status, out_max.status):
         return True
-    if not (out_min.ok and out_max.ok):
+    if not (out_min.status == out_max.status == OPTIMAL):
         raise NumericalError("support LP failed")
     return float(hs.h @ Z.c) + out_max.value <= hs.f + TOL
 

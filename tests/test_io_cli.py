@@ -263,6 +263,32 @@ class TestCli:
             pytest.approx(0.5, abs=1e-7)
         assert self.run("intersect", z, p, "--R", "1,0,0", "-o", out) == 2
 
+    def test_intersect_preimage_checks_r_against_the_polytope(
+            self, tmp_path, capsys):
+        z = tmp_path / "z.json"
+        p = tmp_path / "p.json"
+        write_set(z, Zonotope([0.0, 0.0], np.eye(2)))
+        write_set(p, HPolytope([[1.0, 0.0]], [0.5]))
+        assert self.run("intersect", z, p, "--R", "1,0,0",
+                        "-o", tmp_path / "out.json") == 2
+        assert capsys.readouterr().err == \
+            "zonokit: error: R has 1 rows but b lives in R^2\n"
+
+    @pytest.mark.parametrize("command, wrong, also", [
+        ("hull", HPolytope([[1.0, 0.0]], [0.5]), "point"),
+        ("intersect", np.array([1.0, 2.0]), "hpolytope"),
+    ], ids=["hull", "intersect"])
+    def test_wrong_operand_kind_names_every_accepted_kind(
+            self, tmp_path, capsys, command, wrong, also):
+        z = tmp_path / "z.json"
+        b = tmp_path / "b.json"
+        write_set(z, Zonotope([0.0, 0.0], np.eye(2)))
+        write_set(b, wrong)
+        assert self.run(command, z, b, "-o", tmp_path / "out.json") == 2
+        assert capsys.readouterr().err == (
+            "zonokit: error: operand must be a zonotope, constrained "
+            f"zonotope or {also}\n")
+
     def test_intersect_preimage_with_zero_rows(self, tmp_path, capsys):
         z = tmp_path / "z.json"
         p = tmp_path / "p.json"

@@ -492,7 +492,7 @@ def test_edge_case_programs_solve_like_their_dense_twins(case):
             assert a.has_canonical_format and (a.data != 0).all()
     got, want = solve_lp(p), solve_lp(dense_twin(p))
     assert got.status == want.status
-    if want.ok:
+    if want.status == OPTIMAL:
         assert np.array_equal(got.x, want.x) and got.value == want.value
 
 

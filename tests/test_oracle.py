@@ -11,10 +11,14 @@ from zonokit import (
     HPolytope,
     Zonotope,
     contains_point,
+    convex_hull,
     generalized_intersection,
     is_empty,
     pontryagin_iterative,
+    reduce_fully,
     support,
+    wayset,
+    wayset_reduce,
 )
 from zonokit.reach import LinearSystem
 from zonokit.sets import as_conzono
@@ -388,6 +392,32 @@ def test_sets_equal_accepts_representation_changes():
                                    [0.0, 1.0, 0.0, 1.0]])
     assert oracle.sets_equal(Z, split)
     assert not oracle.sets_equal(Z, Zonotope([1.1, -1.0], Z.G))
+
+
+def _support_sweep(Z):
+    return oracle._support_points(Z, oracle.directions(Z.n))[0]
+
+
+def test_support_tol_sits_far_above_the_gaps_of_equal_representations(
+        vehicle_scenario):
+    """sets_equal allows SUPPORT_TOL between support values.  Equal sets
+    in different representations (the N = 10 waysets of every strategy,
+    a reduced wayset, test_05's hull and its reduction) differ by less
+    than 1e-9 on the whole sweep, while a 1e-5 translate is caught."""
+    doc = vehicle_scenario
+    Z = wayset(doc.system, doc.x_star, 10, strategy="LP")[0]
+    hull = convex_hull(Zonotope([0.0, 0.0], [[0, 1, 0], [1, 1, 2]]),
+                       Zonotope([-5.0, 0.0], [[-0.5, 1, -2], [0.5, 0.5, 1.5]]))
+    twins = [(hull, [reduce_fully(hull)]), (Z, [wayset_reduce(Z)] + [
+        wayset(doc.system, doc.x_star, 10, strategy=s)[0]
+        for s in ("ZH", "IA", "GI")])]
+    for X, equal in twins:
+        top = _support_sweep(X)
+        for Y in equal:
+            assert np.abs(_support_sweep(Y) - top).max() < 1e-9
+    for X in (Z, hull):
+        moved = ConstrainedZonotope(X.c + 1e-5 * np.eye(X.n)[0], X.G, X.A, X.b)
+        assert not oracle.sets_equal(moved, X)
 
 
 def test_empty_sets_are_reported():

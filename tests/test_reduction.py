@@ -26,7 +26,7 @@ from zonokit.reduction import (
 )
 from zonokit import oracle
 
-from conftest import make_conzono, make_zonotope
+from conftest import DEGENERATE, make_conzono, make_zonotope
 
 
 DIAMOND = Zonotope([0.0, 0.0], [[1.0, 1.0], [1.0, -1.0]])
@@ -126,6 +126,77 @@ class TestParallelMerging:
         Mb = merge_parallel_generators(Zb)
         assert Mb.n_g == 1
         assert oracle.sets_equal(Mb, Zb)
+
+
+def _restart_merge(Z):
+    """Reference merge: the restart loop that merge_parallel_generators
+    replaced.  Each kept column re-scans the later ones after every
+    merge, so it also re-tests columns it has already rejected."""
+    cols = [col.copy() for col in np.vstack([Z.G, Z.A]).T]
+    kept = [g for g in cols if np.abs(g).max(initial=0.0) > 0.0]
+    changed = len(kept) != len(cols)
+    i = 0
+    while i < len(kept):
+        j = i + 1
+        while j < len(kept):
+            gi, gj = kept[i], kept[j]
+            denom = np.linalg.norm(gi) * np.linalg.norm(gj)
+            dot = float(gi @ gj)
+            if abs(dot) >= (1.0 - reduction.EPS_PARALLEL) * denom:
+                kept[i] = gi + gj if dot >= 0.0 else gi - gj
+                kept.pop(j)
+                changed = True
+                j = i + 1
+            else:
+                j += 1
+        i += 1
+    if not changed:
+        return Z
+    M = np.column_stack(kept) if kept else np.zeros((Z.n + Z.n_c, 0))
+    return reduction._make(Z.c, M[:Z.n], M[Z.n:], Z.b)
+
+
+def _planted_family(rng, noise):
+    """Random set whose columns of [G; A] are scaled copies (either
+    sign, relative perturbation up to noise) of a few base directions,
+    plus zero columns, in shuffled order."""
+    n, n_c = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    base = rng.normal(size=(n + n_c, int(rng.integers(1, 4))))
+    cols = []
+    for _ in range(int(rng.integers(1, 9))):
+        kind = rng.integers(0, 5)
+        if kind == 0:
+            cols.append(np.zeros(n + n_c))
+        elif kind == 1:
+            cols.append(rng.normal(size=n + n_c))
+        else:
+            g = base[:, rng.integers(base.shape[1])] * rng.uniform(-3.0, 3.0)
+            cols.append(g * (1.0 + noise * rng.uniform(-1.0, 1.0, n + n_c)))
+    M = np.column_stack(cols)[:, rng.permutation(len(cols))]
+    if n_c == 0:
+        return Zonotope(rng.normal(size=n), M)
+    return ConstrainedZonotope(rng.normal(size=n), M[:n], M[n:],
+                               rng.normal(size=n_c))
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-14, 1e-11, 1e-8])
+def test_one_pass_merge_matches_the_restart_loop(noise):
+    rng = np.random.default_rng(24)
+    merged = 0
+    for _ in range(300):
+        Z = _planted_family(rng, noise)
+        got, want = merge_parallel_generators(Z), _restart_merge(Z)
+        assert (got is Z) == (want is Z)
+        assert _identical(got, want)
+        merged += got is not Z
+    assert merged >= 100
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_one_pass_merge_matches_the_restart_loop_on_degenerate_sets(name):
+    Z = DEGENERATE[name]
+    got, want = merge_parallel_generators(Z), _restart_merge(Z)
+    assert (got is Z) == (want is Z) and _identical(got, want)
 
 
 @settings(max_examples=15, deadline=None)
