@@ -12,6 +12,13 @@ constraints.  Any invertible affine reparametrization of either side
 maps certificates one to one, so the verdicts and optimal scalings do
 not depend on the basis.  The reduced row-echelon basis, mostly unit
 rows, keeps the programs sparse.
+
+A plain (box or zonotope) template needs no facet multipliers: it is
+scaled inside the lifted target, generators [G; A] (Scott et al.,
+Automatica 2016), with the zonotope certificate, which admits the same
+scalings at less than half the size.  Its solution is mapped back onto
+an affine-polytope certificate.  A constrained template keeps the
+affine-polytope program, where each facet sign gets its own multiplier.
 """
 
 import numpy as np
@@ -294,6 +301,11 @@ def conzono_to_ah(Z):
     where T vanishes are vacuous for a nonempty set and are dropped).
     A may have any rank; empty sets are rejected.
     """
+    return _ah_form(Z)[0]
+
+
+def _ah_form(Z):
+    """:func:`conzono_to_ah` of Z, with the s and T it was built from."""
     Z = as_conzono(Z)
     if is_empty(Z):
         raise EmptySetError("cannot convert an empty set")
@@ -302,7 +314,7 @@ def conzono_to_ah(Z):
         # A zero direction with a negative offset means some |xi_k| > 1
         # is forced, contradicting the emptiness check above.
         raise NumericalError("inconsistent vacuous facet; set borderline empty")
-    return AhPolytope(Z.c + Z.G @ s, Z.G @ T, HPolytope(H[live], f[live]))
+    return AhPolytope(Z.c + Z.G @ s, Z.G @ T, HPolytope(H[live], f[live])), s, T
 
 
 def ah_contains(X, Y):
@@ -344,45 +356,63 @@ def inner_scale(Z_c, template, norm="inf", must_contain=None):
 
     Each template generator g_i is scaled by its own nonnegative phi_i
     and the template center is re-chosen freely; the scales maximize
-    ||phi||_norm subject to the scaled template staying inside Z_c
-    (enforced through the affine-polytope containment conditions, which
-    stay linear because the scaling is diagonal).  norm=1 and the
-    default norm="inf" are each one LP; "inf" drives up the smallest
-    scale, which is what keeps the fit full-dimensional.
+    ||phi||_norm subject to the scaled template staying inside Z_c.
+    A plain template (box or zonotope) is certified against the lifted
+    target, generators [G; A]; a constrained one through the
+    affine-polytope containment conditions.  Both stay linear because
+    the scaling is diagonal.  norm=1 and the default norm="inf" are each
+    one LP; "inf" drives up the smallest scale, which is what keeps the
+    fit full-dimensional.
 
     Points in ``must_contain`` are constrained to lie in the scaled
     template (unconstrained templates only).  Returns the scaled set
-    and a :class:`ScalingResult`; raises ValueError when no scaling
-    fits, which can only happen when must_contain points are outside
-    Z_c (phi = 0 with a free center is otherwise always feasible).
+    and a :class:`ScalingResult`, whose certificate is an
+    affine-polytope one for either kind of template; raises ValueError
+    when no scaling fits, which can only happen when must_contain
+    points are outside Z_c (phi = 0 with a free center is otherwise
+    always feasible).
     """
     target = as_conzono(Z_c)
-    outer = conzono_to_ah(target)  # also rejects an empty target
+    outer, s_y, T_y = _ah_form(target)  # also rejects an empty target
     t = as_conzono(template)
     if t.n != target.n:
         raise ValueError("template dimension differs from the target set")
     ngr = t.n_g
     if ngr == 0:
         raise ValueError("template needs at least one generator")
-
-    s_r, T_r, Hx, fx, live = _coefficient_polytope(t.A, t.b)
-    if t.n_c and np.abs(t.A @ s_r - t.b).max(initial=0.0) > 1e-9 * max(
-            1.0, np.abs(t.b).max(initial=0.0)):
-        raise ValueError("template constraints are inconsistent")
     n = target.n
 
-    # The scaled template is {center + G diag(phi) (s_r + T_r xi') :
-    # Hx xi' <= fx}; its facets do not move with phi.  A zero generator
-    # sizes nothing, and neither does a pinned coefficient (zero row of
-    # T_r), which only translates the set, as the free center can: their
-    # scales are fixed at 0 and get zero template columns.
-    sizes = t.G.any(axis=0) & live[:ngr]
+    # A zero generator sizes nothing: its scale is fixed at 0 and gets a
+    # zero template column.
+    sizes = t.G.any(axis=0)
+    if t.n_c:
+        s_r, T_r, Hx, fx, live = _coefficient_polytope(t.A, t.b)
+        if np.abs(t.A @ s_r - t.b).max(initial=0.0) > 1e-9 * max(
+                1.0, np.abs(t.b).max(initial=0.0)):
+            raise ValueError("template constraints are inconsistent")
+        # The scaled template is {center + G diag(phi) (s_r + T_r xi') :
+        # Hx xi' <= fx}; its facets do not move with phi.  A pinned
+        # coefficient (zero row of T_r) only translates the set, as the
+        # free center can, so its scale sizes nothing either.
+        sizes &= live[:ngr]
     b = LpBuilder()
     b.var("phi", ngr, lo=0.0, hi=np.where(sizes, np.inf, 0.0))
     b.var("center", n)
-    read = _ah_certificate(b, outer, t.G, Hx[live], fx[live],
-                           {"center": np.eye(n), "phi": t.G * s_r},
-                           outer.xbar, T=T_r)
+    if t.n_c:
+        read = _ah_certificate(b, outer, t.G, Hx[live], fx[live],
+                               {"center": np.eye(n), "phi": t.G * s_r},
+                               outer.xbar, T=T_r)
+    else:
+        # [center; 0] + [G; 0] diag(phi) xi inside the lifted target
+        # {[c_y; -b_y] + [G_y; A_y] xi}: the center rows read center =
+        # c_y + G_y beta and A_y beta = b_y, beta being the center's
+        # coefficients in the target.
+        lifted = _zonotope_certificate(
+            b, np.vstack([target.G, target.A]),
+            [(np.vstack([t.G, np.zeros((target.n_c, ngr))]), True)],
+            {"center": np.vstack([-np.eye(n), np.zeros((target.n_c, n))])},
+            np.concatenate([-target.c, target.b]))
+        read = lambda x: _ah_from_lifted(lifted(x), s_y, T_y, outer.P.H)
 
     pts = [np.asarray(p, dtype=float).reshape(-1) for p in (must_contain or [])]
     if pts and t.n_c:
@@ -408,6 +438,24 @@ def inner_scale(Z_c, template, norm="inf", must_contain=None):
     center = b.value(x, "center")
     scaled = _make(center, t.G * phi, t.A, t.b)
     return scaled, ScalingResult(phi, center, read(x))
+
+
+def _ah_from_lifted(cert, s, T, H):
+    """Rewrite a certificate of a plain scaled template inside the lifted
+    target as the affine-polytope certificate of :func:`ah_contains`.
+
+    The target's coefficients are xi = s + T xi' with facets H xi' <= f
+    (from :func:`_ah_form`).  The lifted Gamma and the center's
+    coefficients beta lie on that plane, so gamma solves T gamma = Gamma
+    and the offset T beta' = s - beta; the template's facets [I; -I]
+    take the positive and negative parts of H gamma as multipliers,
+    which |Gamma| 1 + |beta| <= 1 keeps within the facet offsets.
+    """
+    gamma = np.linalg.lstsq(T, cert.gamma, rcond=None)[0]
+    beta = np.linalg.lstsq(T, s - cert.beta, rcond=None)[0]
+    Hg = H @ gamma
+    return ContainmentCertificate(
+        gamma, beta, np.hstack([np.maximum(Hg, 0.0), np.maximum(-Hg, 0.0)]))
 
 
 def make_template(Z_c, kind):

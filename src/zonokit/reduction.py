@@ -4,9 +4,11 @@ Two mechanisms:
 
 * merging generator columns that are parallel within a tolerance --
   for constrained zonotopes the test runs on the columns of [G; A]
-  so that constraint structure is respected.  Exact only for truly
-  parallel columns: the cosine tolerance EPS_PARALLEL admits columns
-  up to about 4.5e-5 rad apart, and merging those changes the set;
+  so that constraint structure is respected.  The columns' unit
+  vectors must lie within EPS_PARALLEL of each other (or of each
+  other's negation), which admits only rounding-level angles; on a
+  plain zonotope, merging h and g moves the set by at most about
+  2 EPS_PARALLEL min(|h|, |g|);
 * eliminating a (constraint, generator) pair when interval refinement
   proves the generator's coefficient is already pinned inside [-1, 1]
   by the remaining constraints, via the closed-form transformation
@@ -19,8 +21,10 @@ from .halfspaces import DIV_TOL, _solved_ranges, interval_refine
 from .numerics import gauss_jordan_full_pivot
 from .sets import _make
 
-# Parallelism tolerance: |g_i @ g_j| / (|g_i| |g_j|) >= 1 - EPS_PARALLEL.
-EPS_PARALLEL = 1e-9
+# Parallelism tolerance: || g_i / |g_i| -+ g_j / |g_j| || <= EPS_PARALLEL,
+# about the angle between the columns.  A cosine test would lose it to
+# cancellation in 1 - cos.
+EPS_PARALLEL = 1e-10
 
 # Slack allowed when testing R_{r,c} inside [-1, 1]; keeps exactly-tight
 # eliminations (interval touching +-1) from being rejected for roundoff.
@@ -31,22 +35,23 @@ def merge_parallel_generators(Z):
     """Merge generators that are parallel as columns of [G; A].
 
     One pass over the columns: zero columns are dropped, and each other
-    column g joins the first kept column h with |h @ g| >= (1 -
-    EPS_PARALLEL) |h| |g|, as h + g (or h - g when anti-parallel), or
-    else is kept.  Stacking A under G makes the test respect the
-    constraints (a plain zonotope has no A rows).  Returns Z itself when
-    nothing merges.
+    column g joins the first kept column h whose unit vector is within
+    EPS_PARALLEL of g's, as h + g, or of -g's, as h - g; else it is
+    kept.  Stacking A under G makes the test respect the constraints (a
+    plain zonotope has no A rows).  Returns Z itself when nothing
+    merges.
     """
     kept = []
     # contiguous columns: BLAS may sum a strided vector in another order
     for g in np.vstack([Z.G, Z.A]).T.copy():
         if not g.any():
             continue
+        u = g / np.linalg.norm(g)
         for k, h in enumerate(kept):
-            dot = float(h @ g)
-            denom = np.linalg.norm(h) * np.linalg.norm(g)
-            if abs(dot) >= (1.0 - EPS_PARALLEL) * denom:
-                kept[k] = h + g if dot >= 0.0 else h - g
+            v = h / np.linalg.norm(h)
+            sign = 1.0 if v @ u >= 0.0 else -1.0
+            if np.linalg.norm(v - sign * u) <= EPS_PARALLEL:
+                kept[k] = h + sign * g
                 break
         else:
             kept.append(g)

@@ -8,12 +8,14 @@ from scipy import sparse
 
 from zonokit import (
     ConstrainedZonotope,
+    EmptySetError,
     Zonotope,
     ah_contains,
     conzono_to_ah,
     generalized_intersection,
     inner_reduce_zonotope,
     inner_scale,
+    is_empty,
     make_template,
     wayset,
     zonotope_contains,
@@ -21,14 +23,15 @@ from zonokit import (
 from zonokit import containment, numerics
 from zonokit.containment import (
     RESIDUAL_TOL,
+    _ah_certificate,
     ah_containment_residual,
     zonotope_containment_residual,
 )
-from zonokit.numerics import NumericalError
+from zonokit.numerics import LpBuilder, NumericalError, optimize_scaling
 from zonokit.reduction import _canonical
 from zonokit import oracle
 
-from conftest import make_zonotope
+from conftest import DEGENERATE, make_conzono, make_zonotope
 
 
 # Fat cross-shaped 2-D zonotope and a constrained variant reused below.
@@ -269,6 +272,76 @@ def test_results_do_not_depend_on_the_null_space_basis(n, degeneracy, monkeypatc
                 assert got[1] == want[1]
 
 
+def scaling_value(phi, sizes, norm):
+    """The size optimize_scaling maximizes for the template diag(sizes)."""
+    phi = phi[sizes]
+    if not phi.size:
+        return 0.0
+    return float(phi.min() if norm == "inf" else phi.sum())
+
+
+def ah_scaling_optimum(target, template, norm):
+    """Reference for a plain template: the optimal size under the
+    affine-polytope program of Sadraddini and Tedrake, with the
+    template's facets [I; -I] <= 1 and a multiplier for each pair of
+    target and template facets."""
+    outer = conzono_to_ah(target)
+    m, n = template.n_g, target.n
+    sizes = template.G.any(axis=0)
+    b = LpBuilder()
+    b.var("phi", m, lo=0.0, hi=np.where(sizes, np.inf, 0.0))
+    b.var("center", n)
+    eye = np.eye(m)
+    _ah_certificate(b, outer, template.G, np.vstack([eye, -eye]),
+                    np.ones(2 * m), {"center": np.eye(n)}, outer.xbar, T=eye)
+    x = optimize_scaling(b, norm, maximize=True, template=np.diag(sizes))
+    return scaling_value(b.value(x, "phi"), sizes, norm)
+
+
+def plain_templates(rng, target):
+    """Box and zonotope templates of a nonempty target, and a random
+    zonotope."""
+    templates = [make_template(target, kind) for kind in ("box", "zonotope")]
+    return ([t for t in templates if t.n_g]
+            + [make_zonotope(rng, target.n, target.n + 1)])
+
+
+SAME_OPTIMUM_TARGETS = dict(DEGENERATE)
+SAME_OPTIMUM_TARGETS.update({
+    f"random {degeneracy} {n}-D": random_conzono(
+        np.random.default_rng(n + 10 * k), n, degeneracy)
+    for k, degeneracy in enumerate(["duplicated", "rank_deficient", "pinned"])
+    for n in (2, 3)})
+SAME_OPTIMUM_TARGETS["random 3-D"] = make_conzono(np.random.default_rng(5), 3, 7, 3)
+
+
+@pytest.mark.parametrize("basis", ["rref", "orthonormal"])
+@pytest.mark.parametrize("name", sorted(SAME_OPTIMUM_TARGETS))
+def test_plain_templates_reach_the_affine_polytope_optimum(name, basis,
+                                                           monkeypatch):
+    # The lifted target's certificate and the affine-polytope one admit
+    # the same scalings of a plain template, and the lifted solution
+    # maps back onto a sound affine-polytope certificate in any basis.
+    if basis == "orthonormal":
+        monkeypatch.setattr(containment, "_coefficient_polytope",
+                            orthonormal_coefficient_polytope)
+    target = SAME_OPTIMUM_TARGETS[name]
+    if is_empty(target):
+        with pytest.raises(EmptySetError):
+            inner_scale(target, Zonotope(np.zeros(target.n), np.eye(target.n)))
+        return
+    rng = np.random.default_rng(len(name))
+    Y = conzono_to_ah(target)
+    for template in plain_templates(rng, target):
+        for norm in numerics.SCALING_NORMS:
+            scaled, result = inner_scale(target, template, norm=norm)
+            want = ah_scaling_optimum(target, template, norm)
+            assert ah_containment_residual(
+                conzono_to_ah(scaled), Y, result.certificate) < RESIDUAL_TOL
+            got = scaling_value(result.phi, template.G.any(axis=0), norm)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
 @pytest.fixture(scope="module")
 def wayset8(vehicle_scenario):
     doc = vehicle_scenario
@@ -300,6 +373,29 @@ def test_scenario_drop_pair_program_stays_sparse(wayset8, monkeypatch):
         tracemalloc.stop()
     assert programs and max(nnz for nnz, _ in programs) <= 20_000
     assert peak < max(dense for _, dense in programs) / 4
+
+
+def test_scenario_zonotope_template_program_stays_small(vehicle_scenario,
+                                                      monkeypatch):
+    # The lifted certificate has one multiplier per pair of target and
+    # template generators and one equality row per entry of [G; A] times
+    # the template: 2,328 variables and 310 equality rows at N = 10,
+    # where the affine-polytope program had 5,404 and 2,313.
+    doc = vehicle_scenario
+    target = wayset(doc.system, doc.x_star, 10, strategy="LP")[0]
+    programs = []
+    solve = numerics.solve_lp
+
+    def count(p):
+        if sparse.issparse(p.A_eq):
+            programs.append((p.n_vars, p.A_eq.shape[0]))
+        return solve(p)
+
+    monkeypatch.setattr(numerics, "solve_lp", count)
+    inner_scale(target, make_template(target, "zonotope"))
+    assert programs
+    assert max(n_vars for n_vars, _ in programs) <= 2_500
+    assert max(rows for _, rows in programs) <= 400
 
 
 def test_zonotope_and_box_templates_keep_the_orthonormal_basis(wayset8):

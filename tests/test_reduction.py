@@ -127,6 +127,19 @@ class TestParallelMerging:
         assert Mb.n_g == 1
         assert oracle.sets_equal(Mb, Zb)
 
+    def test_only_rounding_level_angles_merge(self):
+        # A cosine test at 1 - 1e-9 merged columns 4e-5 rad apart, which
+        # changes the set; the unit-vector distance does not.
+        theta = 4e-5
+        Z = Zonotope([0.0, 0.0], [[1.0, np.cos(theta)], [0.0, np.sin(theta)]])
+        assert merge_parallel_generators(Z) is Z
+        # 3 * (0.1, 0.2) rounds away from (0.3, 0.6), yet they merge
+        # (anti-parallel here) to one column.
+        Z = Zonotope([0.0, 0.0], [[0.1, -0.3], [0.2, -0.6]])
+        assert not np.array_equal(3.0 * Z.G[:, 0], -Z.G[:, 1])
+        M = merge_parallel_generators(Z)
+        assert M.n_g == 1 and np.allclose(M.G[:, 0], [0.4, 0.8])
+
 
 def _restart_merge(Z):
     """Reference merge: the restart loop that merge_parallel_generators
@@ -140,10 +153,10 @@ def _restart_merge(Z):
         j = i + 1
         while j < len(kept):
             gi, gj = kept[i], kept[j]
-            denom = np.linalg.norm(gi) * np.linalg.norm(gj)
-            dot = float(gi @ gj)
-            if abs(dot) >= (1.0 - reduction.EPS_PARALLEL) * denom:
-                kept[i] = gi + gj if dot >= 0.0 else gi - gj
+            ui, uj = gi / np.linalg.norm(gi), gj / np.linalg.norm(gj)
+            sign = 1.0 if ui @ uj >= 0.0 else -1.0
+            if np.linalg.norm(ui - sign * uj) <= reduction.EPS_PARALLEL:
+                kept[i] = gi + sign * gj
                 kept.pop(j)
                 changed = True
                 j = i + 1
