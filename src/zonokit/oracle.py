@@ -3,7 +3,10 @@
 Everything here recomputes set predicates from the raw (c, G, A, b)
 data using scipy's linprog and Qhull directly -- deliberately not the
 library's own LP wrapper or closed-form shortcuts -- so the fast paths
-can be checked against an independently coded route.  Budgets are
+can be checked against an independently coded route.  The one shortcut
+here is :func:`horizon_feasible`'s least-squares witness, accepted
+only after it is checked against every row of that function's own LP;
+only the LP says False.  Budgets are
 sized for n <= 4 and a few dozen generators: this module is test
 tooling, kept out of the supported API surface.
 
@@ -427,11 +430,17 @@ def sets_equal(X, Y, grid=15, tol=SUPPORT_TOL):
         raise ValueError("dimension mismatch")
     if X.n > 3:
         raise ValueError("equality oracle supports n <= 3 only")
-    empty_x, empty_y = _empty_lp(X), _empty_lp(Y)
-    if empty_x or empty_y:
-        return empty_x and empty_y
     D = directions(X.n)
-    if np.any(np.abs(_support_points(X, D)[0] - _support_points(Y, D)[0]) > tol):
+    # each sweep raises EmptySetError exactly when its set is empty
+    try:
+        top_x = _support_points(X, D)[0]
+    except EmptySetError:
+        return _empty_lp(Y)
+    try:
+        top_y = _support_points(Y, D)[0]
+    except EmptySetError:
+        return False
+    if np.any(np.abs(top_x - top_y) > tol):
         return False
     lo_x, hi_x = X.parent_zonotope().interval_hull()
     lo_y, hi_y = Y.parent_zonotope().interval_hull()
@@ -480,6 +489,12 @@ def horizon_feasible(sys, x0, x_star, N, tol=MEMBERSHIP_TOL):
     on roundoff; HiGHS runs at PRIMAL_TOL, below tol, so tol is the
     tolerance enforced.  Independent of the backward recursion: it never calls
     the set operations whose output it is meant to judge.
+
+    Before the LP, the least-squares input sequence for the terminal
+    equality is tried as a witness: if it meets every row and bound of
+    the LP as written, it is a feasible point of that LP and the answer
+    is True without a solve.  Any other point goes to the LP, so only
+    the LP ever answers False.
     """
     A = np.asarray(sys.A, dtype=float)
     B = np.asarray(sys.B, dtype=float)
@@ -491,6 +506,8 @@ def horizon_feasible(sys, x0, x_star, N, tol=MEMBERSHIP_TOL):
     N = int(N)
     if N < 1:
         raise ValueError("horizon must be at least one step")
+    if x0.size != n or x_star.size != n:
+        raise ValueError(f"x0 and x_star must have length {n}")
 
     # coef[j] has shape (n, N*m): x(j) = const[j] + coef[j] @ eta
     const = [x0]
@@ -506,6 +523,9 @@ def horizon_feasible(sys, x0, x_star, N, tol=MEMBERSHIP_TOL):
     gap = x_star - const[N]
     A_ub = np.vstack([A_ub, coef[N], -coef[N]])
     b_ub = np.concatenate([b_ub, gap + tol, -gap + tol])
+    eta = np.linalg.lstsq(coef[N], gap, rcond=None)[0]
+    if np.all(np.abs(eta) <= 1.0) and np.all(A_ub @ eta <= b_ub):
+        return True
     res = linprog(np.zeros(N * m), A_ub=A_ub, b_ub=b_ub,
                   bounds=[(-1.0, 1.0)] * (N * m), method="highs",
                   options={"primal_feasibility_tolerance": PRIMAL_TOL})

@@ -90,6 +90,21 @@ def test_library_does_not_import_the_oracle(module):
     assert not lines, f"{module} imports the oracle at lines {lines}"
 
 
+# The oracle shares no code with what it checks: from the package it
+# takes the set type's coercion and its exception, nothing else.
+def test_oracle_borrows_only_set_coercion_from_the_package():
+    borrowed = set()
+    for node in ast.walk(_parse("oracle.py")):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("zonokit")):
+            module = (node.module or "").removeprefix("zonokit.")
+            borrowed |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            borrowed |= {(alias.name, None) for alias in node.names
+                         if alias.name.startswith("zonokit")}
+    assert borrowed == {("sets", "EmptySetError"), ("sets", "as_conzono")}
+
+
 def _params(fn):
     a = fn.args
     return [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs

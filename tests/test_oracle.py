@@ -420,6 +420,18 @@ def test_support_tol_sits_far_above_the_gaps_of_equal_representations(
         assert not oracle.sets_equal(moved, X)
 
 
+@pytest.mark.parametrize("x_empty, y_empty", [
+    (False, False), (False, True), (True, False), (True, True)])
+def test_sets_equal_on_empty_operands(x_empty, y_empty):
+    def operand(empty):
+        # the constraint xi_1 = 3 (or 0.5) over |xi| <= 1
+        return ConstrainedZonotope([0.0, 0.0], np.eye(2), [[1.0, 0.0]],
+                                   [3.0 if empty else 0.5])
+
+    assert oracle.sets_equal(operand(x_empty), operand(y_empty)) is (
+        x_empty == y_empty)
+
+
 def test_empty_sets_are_reported():
     bad = ConstrainedZonotope([0.0], [[1.0]], [[1.0]], [3.0])
     with pytest.raises(EmptySetError):
@@ -459,3 +471,92 @@ class TestHorizonFeasible:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             oracle.horizon_feasible(self.sys, [0.0, 0.0], [0.0, 0.0], 0)
+        # a 1-vector target would broadcast over both axes
+        with pytest.raises(ValueError):
+            oracle.horizon_feasible(self.sys, [0.0, 0.0], [0.0], 1)
+        with pytest.raises(ValueError):
+            oracle.horizon_feasible(self.sys, [0.0, 0.0, 0.0], [0.0, 0.0], 1)
+
+
+def _counting_linprog(monkeypatch):
+    """Route oracle.linprog through a counter; returns the call list."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "linprog", counting)
+    return calls
+
+
+def test_horizon_lp_decides_when_the_witness_leaves_x(monkeypatch):
+    # The least-squares inputs (0.6, 0.6) reach 1.2 through x1 = 0.6,
+    # outside X = {x <= 0.5}; (0.2, 1.0) stays inside.
+    sys1 = LinearSystem([[1.0]], [[1.0]],
+                        HPolytope([[1.0], [-1.0]], [0.5, 5.0]),
+                        Zonotope([0.0], [[1.0]]))
+    calls = _counting_linprog(monkeypatch)
+    assert oracle.horizon_feasible(sys1, [0.0], [1.2], 2)
+    assert len(calls) == 1
+    assert not oracle.horizon_feasible(sys1, [0.0], [1.6], 2)
+    assert len(calls) == 2
+
+
+def _reference_horizon_lp(sys, x0, x_star, N, tol=oracle.MEMBERSHIP_TOL):
+    """horizon_feasible's LP alone, with no witness."""
+    A, B = np.asarray(sys.A, float), np.asarray(sys.B, float)
+    H, f = np.asarray(sys.X.H, float), np.asarray(sys.X.f, float)
+    c_u, G_u = np.asarray(sys.U.c, float), np.asarray(sys.U.G, float)
+    n, m = A.shape[0], G_u.shape[1]
+    const = [np.asarray(x0, float)]
+    coef = [np.zeros((n, N * m))]
+    for j in range(N):
+        const.append(A @ const[j] + B @ c_u)
+        step = A @ coef[j]
+        step[:, j * m:(j + 1) * m] += B @ G_u
+        coef.append(step)
+    gap = np.asarray(x_star, float) - const[N]
+    A_ub = np.vstack([H @ coef[j] for j in range(N)] + [coef[N], -coef[N]])
+    b_ub = np.concatenate([f - H @ const[j] for j in range(N)]
+                          + [gap + tol, -gap + tol])
+    res = linprog(np.zeros(N * m), A_ub=A_ub, b_ub=b_ub,
+                  bounds=[(-1.0, 1.0)] * (N * m), method="highs",
+                  options={"primal_feasibility_tolerance": oracle.PRIMAL_TOL})
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+@pytest.fixture(scope="module")
+def wayset10(vehicle_scenario):
+    doc = vehicle_scenario
+    return wayset(doc.system, doc.x_star, 10, strategy="LP")[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_horizon_verdicts_match_the_lp_alone(vehicle_scenario, wayset10,
+                                             seed):
+    """Inside points and the same points pushed out from the centre:
+    both verdicts occur, and each one is the reference LP's.  Sampled
+    points crowd the centre, so every one is still feasible at 1.5 times
+    its offset; the wayset's edge lies 4 to 30 times out."""
+    doc, Z = vehicle_scenario, wayset10
+    inside = oracle.sample_inside(Z, 40, seed=seed)
+    points = np.vstack([Z.c + k * (inside - Z.c)
+                        for k in (1.0, 1.5, 4.0, 8.0, 12.0, 16.0)])
+    got = [oracle.horizon_feasible(doc.system, x, doc.x_star, 10)
+           for x in points]
+    want = [_reference_horizon_lp(doc.system, x, doc.x_star, 10)
+            for x in points]
+    assert got == want
+    assert 0 < sum(want) < len(want)
+
+
+def test_inside_points_need_no_horizon_lp(vehicle_scenario, wayset10,
+                                          monkeypatch):
+    doc = vehicle_scenario
+    points = oracle.sample_inside(wayset10, 100, seed=0)
+    calls = _counting_linprog(monkeypatch)
+    assert all(oracle.horizon_feasible(doc.system, x, doc.x_star, 10)
+               for x in points)
+    assert not calls
