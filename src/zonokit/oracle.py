@@ -3,12 +3,16 @@
 Everything here recomputes set predicates from the raw (c, G, A, b)
 data using scipy's linprog and Qhull directly -- deliberately not the
 library's own LP wrapper or closed-form shortcuts -- so the fast paths
-can be checked against an independently coded route.  The one shortcut
-here is :func:`horizon_feasible`'s least-squares witness, accepted
-only after it is checked against every row of that function's own LP;
-only the LP says False.  Budgets are
-sized for n <= 4 and a few dozen generators: this module is test
-tooling, kept out of the supported API surface.
+can be checked against an independently coded route.  Two shortcuts
+skip an LP, each on a proof, not a tolerance.  :func:`horizon_feasible`
+accepts its least-squares witness only after checking it against every
+row of its own LP, which alone says False unless it has no variables.
+A sweep direction d = a d_a + b d_b (a, b >= 0) whose parents d_a, d_b
+got the same maximizing point p takes p without an LP: the support
+function is sublinear, so support(d) <= a support(d_a) + b support(d_b)
+= d . p <= support(d).  Budgets are sized for n <= 4 and a few dozen
+generators: this module is test tooling, kept out of the supported API
+surface.
 
 Sweeps are batched, since most of a small linprog call is scipy's
 overhead (about 2 ms; the HiGHS solve itself is small): LP_BLOCKS
@@ -18,6 +22,7 @@ The blocks are assembled sparse (:func:`_block_diagonal`), so a
 program's memory is linear in its block count.
 """
 
+import functools
 import itertools
 import math
 
@@ -38,10 +43,11 @@ SUPPORT_TOL = 1e-6
 GENERATOR_BUDGET = 128
 # Blocks per support or distance program.  Its sparse matrices grow
 # linearly with it, and peak memory still grows: the verify
-# benchmark's peak RSS (seed 0) is 85.6 MiB at 16 blocks, 87.2 at 64,
-# 94.2 at 256 and 111.4 at 720 (a whole 2-D sweep in one program),
-# while 64 already cuts its linprog calls from 414 to 189.  The
-# batching tests need a sweep of 100 points to span two programs.
+# benchmark's peak RSS (seed 0) was 85.6 MiB at 16 blocks, 87.2 at 64,
+# 94.2 at 256 and 111.4 at 720 (a whole 2-D sweep in one program).
+# A seed-0 verify pass makes 120 linprog calls at 16 blocks, 50 at 64
+# and 36 at 256.  The batching tests need a sweep of 100 points to
+# span two programs.
 LP_BLOCKS = 64
 
 _DEDUPE_DECIMALS = 9
@@ -53,6 +59,12 @@ def directions(n, seed=DEFAULT_SEED):
     n = 2 walks 720 angles, n = 3 uses a 4x-subdivided icosahedron
     (2562 directions), higher dimensions fall back to seeded Gaussian
     samples -- enough to resolve every face of the desk-scale examples.
+
+    The 2-D and 3-D sweeps come in levels (:func:`_levels`): every 16th
+    angle, then four halvings that add the bisectors; the icosahedron,
+    then four subdivisions that add edge midpoints (42, 162, 642 and
+    2562 rows, each a prefix of the next).  Each row past the base is
+    the normalised sum of two coarser rows, its parents.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -62,13 +74,31 @@ def directions(n, seed=DEFAULT_SEED):
         theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
         return np.column_stack([np.cos(theta), np.sin(theta)])
     if n == 3:
-        return _icosphere(4)
+        return _icosphere(4)[0].copy()
     rng = np.random.default_rng(seed)
     D = rng.standard_normal((4096, n))
     return D / np.linalg.norm(D, axis=1, keepdims=True)
 
 
+def _levels(n, rows):
+    """Levels of the first `rows` rows of directions(n), coarse to fine:
+    (index, parents) pairs, parents None at the base, else each indexed
+    row's two coarser rows."""
+    if n == 2:
+        levels = [(np.arange(0, 720, 16), None)]
+        for step in (8, 4, 2, 1):
+            index = np.arange(step, 720, 2 * step)
+            levels.append((index, np.c_[index - step, (index + step) % 720]))
+    elif n == 3:
+        levels = _icosphere(4)[1]
+    else:
+        levels = [(np.arange(rows), None)]
+    return [(i[i < rows], p if p is None else p[i < rows]) for i, p in levels]
+
+
+@functools.cache
 def _icosphere(subdivisions):
+    """Icosphere vertices and their levels (see :func:`_levels`)."""
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     verts = [
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
@@ -83,6 +113,7 @@ def _icosphere(subdivisions):
     ]
     verts = [np.asarray(v, dtype=float) for v in verts]
     verts = [v / np.linalg.norm(v) for v in verts]
+    levels = [(np.arange(len(verts)), None)]
     for _ in range(subdivisions):
         cache = {}
 
@@ -99,7 +130,8 @@ def _icosphere(subdivisions):
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             next_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         faces = next_faces
-    return np.array(verts)
+        levels.append((np.array(list(cache.values())), np.array(list(cache))))
+    return np.array(verts), levels
 
 
 def _raw(Z):
@@ -107,8 +139,10 @@ def _raw(Z):
     return Z, Z.c, Z.G, Z.A, Z.b
 
 
-def _support_points(Z, D):
-    """Support values and maximizing points for every row of D."""
+def _support_points(Z, D, levels=None):
+    """Support values and maximizing points for every row of D.  By
+    levels (:func:`_levels`), a row whose parents got the same point
+    takes it, and the other rows go to :func:`_maximizers`."""
     Z, c, G, A, b = _raw(Z)
     D = np.atleast_2d(np.asarray(D, dtype=float))
     dc = _rowwise(c[None], D)[:, 0]
@@ -121,8 +155,16 @@ def _support_points(Z, D):
         signs = np.sign(Q)
         signs[signs == 0] = 1.0
         return dc + np.abs(Q).sum(axis=1), c + _rowwise(G, signs)
-    X = _maximizers(A, b, Q)
-    return dc + np.sum(Q * X, axis=1), c + _rowwise(G, X)
+    X, P = np.empty_like(Q), np.empty_like(D)
+    for rows, parents in levels or [(np.arange(len(D)), None)]:
+        if parents is not None:
+            shared = np.all(P[parents[:, 0]] == P[parents[:, 1]], axis=1)
+            X[rows[shared]] = X[parents[shared, 0]]
+            P[rows[shared]] = P[parents[shared, 0]]
+            rows = rows[~shared]
+        X[rows] = _maximizers(A, b, Q[rows])
+        P[rows] = c + _rowwise(G, X[rows])
+    return dc + np.sum(Q * X, axis=1), P
 
 
 def _rowwise(M, V):
@@ -161,6 +203,12 @@ def _maximizers(A, b, Q):
             raise RuntimeError(f"support LP failed: {res.message}")
         X[start:start + len(q)] = res.x.reshape(q.shape)
     return X
+
+
+def _sweep(Z):
+    """_support_points of a coerced set over directions(n), by levels."""
+    D = directions(Z.n)
+    return _support_points(Z, D, _levels(Z.n, len(D)))
 
 
 def _support_point(Z, d):
@@ -254,7 +302,7 @@ def enumerate_vertices(Z, max_generators=GENERATOR_BUDGET):
     if Z.n_g > max_generators:
         raise ValueError(
             f"generator budget exceeded ({Z.n_g} > {max_generators})")
-    pts = _dedupe(_support_points(Z, directions(Z.n))[1])  # EmptySetError propagates
+    pts = _dedupe(_sweep(Z)[1])  # EmptySetError propagates
     if len(pts) == 1:
         return pts
     mean = pts.mean(axis=0)
@@ -327,7 +375,7 @@ class _SetProbe:
         self.Z = as_conzono(Z)
         self.tol = tol
         self.D = directions(self.Z.n)
-        self.f, pts = _support_points(self.Z, self.D)
+        self.f, pts = _sweep(self.Z)
         try:
             hull = ConvexHull(_dedupe(pts))
             self.inner = hull.equations
@@ -430,14 +478,13 @@ def sets_equal(X, Y, grid=15, tol=SUPPORT_TOL):
         raise ValueError("dimension mismatch")
     if X.n > 3:
         raise ValueError("equality oracle supports n <= 3 only")
-    D = directions(X.n)
     # each sweep raises EmptySetError exactly when its set is empty
     try:
-        top_x = _support_points(X, D)[0]
+        top_x = _sweep(X)[0]
     except EmptySetError:
         return _empty_lp(Y)
     try:
-        top_y = _support_points(Y, D)[0]
+        top_y = _sweep(Y)[0]
     except EmptySetError:
         return False
     if np.any(np.abs(top_x - top_y) > tol):
@@ -494,7 +541,8 @@ def horizon_feasible(sys, x0, x_star, N, tol=MEMBERSHIP_TOL):
     equality is tried as a witness: if it meets every row and bound of
     the LP as written, it is a feasible point of that LP and the answer
     is True without a solve.  Any other point goes to the LP, so only
-    the LP ever answers False.
+    the LP ever answers False, unless it has no variables (an input set
+    with no generators): then the witness is its one point.
     """
     A = np.asarray(sys.A, dtype=float)
     B = np.asarray(sys.B, dtype=float)
@@ -524,8 +572,9 @@ def horizon_feasible(sys, x0, x_star, N, tol=MEMBERSHIP_TOL):
     A_ub = np.vstack([A_ub, coef[N], -coef[N]])
     b_ub = np.concatenate([b_ub, gap + tol, -gap + tol])
     eta = np.linalg.lstsq(coef[N], gap, rcond=None)[0]
-    if np.all(np.abs(eta) <= 1.0) and np.all(A_ub @ eta <= b_ub):
-        return True
+    witness = bool(np.all(np.abs(eta) <= 1.0) and np.all(A_ub @ eta <= b_ub))
+    if witness or m == 0:
+        return witness
     res = linprog(np.zeros(N * m), A_ub=A_ub, b_ub=b_ub,
                   bounds=[(-1.0, 1.0)] * (N * m), method="highs",
                   options={"primal_feasibility_tolerance": PRIMAL_TOL})

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from zonokit.reach import LinearSystem
 from zonokit.sets import as_conzono
 from zonokit import oracle
 
-from conftest import make_conzono, make_no_generators, make_zonotope
+from conftest import (DEGENERATE, make_conzono, make_no_generators,
+                      make_zonotope)
 
 
 def test_directions_are_deterministic_and_unit():
@@ -140,6 +142,18 @@ def test_batched_distances_agree_with_membership(n):
         assert got[40:70].all() and not got[70:].any()
 
 
+def _counting_linprog(monkeypatch):
+    """Route oracle.linprog through a counter; returns the call list."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "linprog", counting)
+    return calls
+
+
 def _one_direction_support(Z, d):
     """Support value and point from one LP per direction: the sweep as
     it was solved before directions were batched."""
@@ -184,13 +198,13 @@ def test_batched_support_matches_one_lp_per_direction(n, monkeypatch):
         assert oracle.support_lp(Z, D[5]) == pytest.approx(values[5], abs=1e-12)
         with monkeypatch.context() as patch:
             if n == 3:
-                # its first 642 rows are the level-3 icosphere: one sweep
-                # of 11 programs instead of 41
+                # its first 642 rows are the icosphere's first four
+                # levels, a sweep of their own: 642 reference LPs, not 2562
                 full = oracle.directions
                 patch.setattr(oracle, "directions", lambda m: full(m)[:642])
             got = oracle.enumerate_vertices(Z)
-            patch.setattr(oracle, "_support_points",
-                          _one_direction_support_points)
+            patch.setattr(oracle, "_sweep", lambda Z: (
+                _one_direction_support_points(Z, oracle.directions(Z.n))))
             want = oracle.enumerate_vertices(Z)
         assert len(got) == len(want), kind
         assert ({tuple(v) for v in np.round(got, 9)}
@@ -276,20 +290,121 @@ def test_batched_sweeps_match_one_lp_per_row_on_degenerate_sets():
 def test_a_two_dimensional_sweep_takes_one_program_per_lp_blocks_rows(
         monkeypatch):
     Z = make_conzono(np.random.default_rng(41), 2, 6, 2)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "linprog", counting)
+    calls = _counting_linprog(monkeypatch)
     D = oracle.directions(2)
     assert len(D) == 720
-    oracle._support_points(Z, D)
-    assert len(calls) == math.ceil(720 / oracle.LP_BLOCKS)
-    calls.clear()
     oracle._sup_distances(Z, Z.c + D)
     assert len(calls) == math.ceil(720 / oracle.LP_BLOCKS)
+
+
+T05_HULL_OPERANDS = (Zonotope([0.0, 0.0], [[0, 1, 0], [1, 1, 2]]),
+                     Zonotope([-5.0, 0.0], [[-0.5, 1, -2], [0.5, 0.5, 1.5]]))
+
+
+def test_the_hull_sweep_solves_a_tenth_of_its_directions(monkeypatch):
+    """test_05's hull, a polygon of 7 vertices: most of its 720
+    directions lie between two that share a maximizer, so only the base
+    level and the directions around the vertices reach an LP, one
+    program per level."""
+    H = as_conzono(convex_hull(*T05_HULL_OPERANDS))
+    widths = []
+
+    def counting(c, *args, **kwargs):
+        widths.append(len(c))
+        return linprog(c, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "linprog", counting)
+    oracle._sweep(H)
+    assert len(widths) <= 5
+    assert sum(widths) <= 80 * H.n_g
+
+
+def _sweep_cases():
+    """Sets whose sweeps solve LPs: random constrained sets and the
+    degenerate shapes -- flat, rank-deficient A, tangent cuts."""
+    rng = np.random.default_rng(44)
+    cases = {f"random {n}-D {n_g}x{n_c}": make_conzono(rng, n, n_g, n_c)
+             for n in (2, 3) for n_g, n_c in ((4, 1), (7, 2), (12, 4))}
+    cases.update({name: DEGENERATE[name] for name in (
+        "flat 3-D", "rank-deficient A", "duplicated rows", "single point")})
+    cases.update({f"3-D {kind}": Z for kind, Z in
+                  _degenerate_sets(np.random.default_rng(45)).items()})
+    # the cube cut by x1 + x2 + x3 >= 3: the single point (1, 1, 1)
+    cases["3-D tangent cut"] = ConstrainedZonotope(
+        np.zeros(3), np.eye(3), [[1.0, 1.0, 1.0]], [3.0])
+    return cases
+
+
+SWEEP_CASES = _sweep_cases()
+
+
+@pytest.mark.parametrize("kind", SWEEP_CASES)
+def test_the_level_sweep_matches_one_lp_per_direction(kind, monkeypatch):
+    """The level sweep against the flat one, which gives every direction
+    its own LP block (and matches separate LPs: see
+    test_batched_support_matches_one_lp_per_direction)."""
+    Z = as_conzono(SWEEP_CASES[kind])
+    D = oracle.directions(Z.n)
+    values, points = oracle._sweep(Z)
+    want_values, want_points = oracle._support_points(Z, D)
+    assert np.all(np.abs(values - want_values)
+                  <= 1e-12 * np.maximum(1.0, np.abs(want_values)))
+    assert np.allclose(np.sum(points * D, axis=1), values,
+                       rtol=0.0, atol=1e-9)
+    got = oracle.enumerate_vertices(Z)
+    monkeypatch.setattr(oracle, "_sweep", lambda Z: (want_values, want_points))
+    want = oracle.enumerate_vertices(Z)
+    assert ({tuple(v) for v in np.round(got, 9)}
+            == {tuple(v) for v in np.round(want, 9)})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_empty_set_fails_its_sweep_at_the_base_level(n, monkeypatch):
+    empty = ConstrainedZonotope(np.zeros(n), np.eye(n), [np.ones(n)],
+                                [n + 1.0])
+    calls = _counting_linprog(monkeypatch)
+    with pytest.raises(EmptySetError):
+        oracle._sweep(as_conzono(empty))
+    assert len(calls) == 1
+    with pytest.raises(EmptySetError):
+        oracle.enumerate_vertices(DEGENERATE["empty"])
+
+
+# sha256 of directions(n).tobytes(): the sweeps every oracle check and
+# the benchmark's certify check (directions(n)[:40]) read
+SWEEP_DIGESTS = {
+    2: "efa2204050d92ec8fa47a6a3f1e6849d1c52a216827332a2f81b728de99231e2",
+    3: "0ad2d3b64249546dacbf5ec693366050a9b2b396f11f7b1786beda06a3a1b218",
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_levels_put_each_row_between_two_coarser_parents(n):
+    D = oracle.directions(n)
+    assert hashlib.sha256(D.tobytes()).hexdigest() == SWEEP_DIGESTS[n]
+    levels = oracle._levels(n, len(D))
+    index = np.concatenate([i for i, _ in levels])
+    assert np.array_equal(np.sort(index), np.arange(len(D)))
+    assert levels[0][1] is None
+    coarser = levels[0][0]
+    for index, parents in levels[1:]:
+        assert np.isin(parents, coarser).all()
+        a, b = D[parents[:, 0]], D[parents[:, 1]]
+        assert np.all(np.sum(a * b, axis=1) > 0.0)  # an angle below pi/2
+        mid = (a + b) / np.linalg.norm(a + b, axis=1, keepdims=True)
+        assert np.abs(mid - D[index]).max() <= 1e-15
+        coarser = np.concatenate([coarser, index])
+
+
+@pytest.mark.parametrize("n, rows", [(1, 2), (3, 12), (3, 42), (3, 162),
+                                     (3, 642), (4, 4096)])
+def test_sweep_levels_of_a_prefix_stay_in_the_prefix(n, rows):
+    levels = oracle._levels(n, rows)
+    index = np.concatenate([i for i, _ in levels])
+    assert np.array_equal(np.sort(index), np.arange(rows))
+    assert all(p is None or np.all(p < rows) for _, p in levels)
+    if n in (1, 4):
+        assert len(levels) == 1 and levels[0][1] is None
 
 
 def test_empty_below_the_solver_default_tolerance():
@@ -395,7 +510,7 @@ def test_sets_equal_accepts_representation_changes():
 
 
 def _support_sweep(Z):
-    return oracle._support_points(Z, oracle.directions(Z.n))[0]
+    return oracle._sweep(as_conzono(Z))[0]
 
 
 def test_support_tol_sits_far_above_the_gaps_of_equal_representations(
@@ -406,8 +521,7 @@ def test_support_tol_sits_far_above_the_gaps_of_equal_representations(
     than 1e-9 on the whole sweep, while a 1e-5 translate is caught."""
     doc = vehicle_scenario
     Z = wayset(doc.system, doc.x_star, 10, strategy="LP")[0]
-    hull = convex_hull(Zonotope([0.0, 0.0], [[0, 1, 0], [1, 1, 2]]),
-                       Zonotope([-5.0, 0.0], [[-0.5, 1, -2], [0.5, 0.5, 1.5]]))
+    hull = convex_hull(*T05_HULL_OPERANDS)
     twins = [(hull, [reduce_fully(hull)]), (Z, [wayset_reduce(Z)] + [
         wayset(doc.system, doc.x_star, 10, strategy=s)[0]
         for s in ("ZH", "IA", "GI")])]
@@ -478,18 +592,6 @@ class TestHorizonFeasible:
             oracle.horizon_feasible(self.sys, [0.0, 0.0, 0.0], [0.0, 0.0], 1)
 
 
-def _counting_linprog(monkeypatch):
-    """Route oracle.linprog through a counter; returns the call list."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "linprog", counting)
-    return calls
-
-
 def test_horizon_lp_decides_when_the_witness_leaves_x(monkeypatch):
     # The least-squares inputs (0.6, 0.6) reach 1.2 through x1 = 0.6,
     # outside X = {x <= 0.5}; (0.2, 1.0) stays inside.
@@ -501,6 +603,19 @@ def test_horizon_lp_decides_when_the_witness_leaves_x(monkeypatch):
     assert len(calls) == 1
     assert not oracle.horizon_feasible(sys1, [0.0], [1.6], 2)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("x_star, reachable", [(0.4, True), (0.5, False)])
+def test_horizon_without_input_generators_needs_no_lp(x_star, reachable,
+                                                      monkeypatch):
+    # U = {0.2}: from 0, two steps reach 0.4 and nothing else.  The LP
+    # has no variables, so the witness check decides both targets.
+    sys1 = LinearSystem([[1.0]], [[1.0]],
+                        HPolytope([[1.0], [-1.0]], [10.0, 10.0]),
+                        Zonotope([0.2], np.zeros((1, 0))))
+    calls = _counting_linprog(monkeypatch)
+    assert oracle.horizon_feasible(sys1, [0.0], [x_star], 2) is reachable
+    assert not calls
 
 
 def _reference_horizon_lp(sys, x0, x_star, N, tol=oracle.MEMBERSHIP_TOL):
