@@ -143,12 +143,13 @@ def test_batched_distances_agree_with_membership(n):
 
 
 def _counting_linprog(monkeypatch):
-    """Route oracle.linprog through a counter; returns the call list."""
+    """Route oracle.linprog through a counter; returns the call list,
+    which holds each call's variable count."""
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
+    def counting(c, *args, **kwargs):
+        calls.append(len(c))
+        return linprog(c, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "linprog", counting)
     return calls
@@ -307,16 +308,10 @@ def test_the_hull_sweep_solves_a_tenth_of_its_directions(monkeypatch):
     level and the directions around the vertices reach an LP, one
     program per level."""
     H = as_conzono(convex_hull(*T05_HULL_OPERANDS))
-    widths = []
-
-    def counting(c, *args, **kwargs):
-        widths.append(len(c))
-        return linprog(c, *args, **kwargs)
-
-    monkeypatch.setattr(oracle, "linprog", counting)
+    calls = _counting_linprog(monkeypatch)
     oracle._sweep(H)
-    assert len(widths) <= 5
-    assert sum(widths) <= 80 * H.n_g
+    assert len(calls) <= 5
+    assert sum(calls) <= 80 * H.n_g
 
 
 def _sweep_cases():
