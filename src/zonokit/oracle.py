@@ -45,8 +45,8 @@ GENERATOR_BUDGET = 128
 # linearly with it, and peak memory still grows: the verify
 # benchmark's peak RSS (seed 0) was 85.6 MiB at 16 blocks, 87.2 at 64,
 # 94.2 at 256 and 111.4 at 720 (a whole 2-D sweep in one program).
-# A seed-0 verify pass makes 120 linprog calls at 16 blocks, 50 at 64
-# and 36 at 256.  The batching tests need a sweep of 100 points to
+# A seed-0 verify pass makes 119 linprog calls at 16 blocks, 49 at 64
+# and 35 at 256.  The batching tests need a sweep of 100 points to
 # span two programs.
 LP_BLOCKS = 64
 
@@ -134,27 +134,22 @@ def _icosphere(subdivisions):
     return np.array(verts), levels
 
 
-def _raw(Z):
-    Z = as_conzono(Z)
-    return Z, Z.c, Z.G, Z.A, Z.b
-
-
 def _support_points(Z, D, levels=None):
     """Support values and maximizing points for every row of D.  By
     levels (:func:`_levels`), a row whose parents got the same point
     takes it, and the other rows go to :func:`_maximizers`."""
-    Z, c, G, A, b = _raw(Z)
+    Z = as_conzono(Z)
     D = np.atleast_2d(np.asarray(D, dtype=float))
-    dc = _rowwise(c[None], D)[:, 0]
+    dc = _rowwise(Z.c[None], D)[:, 0]
     if Z.n_g == 0:
-        if Z.n_c and np.max(np.abs(b)) > MEMBERSHIP_TOL:
+        if _empty_point(Z):
             raise EmptySetError("empty set has no support")
-        return dc, np.tile(c, (len(D), 1))
-    Q = _rowwise(G.T, D)
+        return dc, np.tile(Z.c, (len(D), 1))
+    Q = _rowwise(Z.G.T, D)
     if Z.n_c == 0:
         signs = np.sign(Q)
         signs[signs == 0] = 1.0
-        return dc + np.abs(Q).sum(axis=1), c + _rowwise(G, signs)
+        return dc + np.abs(Q).sum(axis=1), Z.c + _rowwise(Z.G, signs)
     X, P = np.empty_like(Q), np.empty_like(D)
     for rows, parents in levels or [(np.arange(len(D)), None)]:
         if parents is not None:
@@ -162,9 +157,29 @@ def _support_points(Z, D, levels=None):
             X[rows[shared]] = X[parents[shared, 0]]
             P[rows[shared]] = P[parents[shared, 0]]
             rows = rows[~shared]
-        X[rows] = _maximizers(A, b, Q[rows])
-        P[rows] = c + _rowwise(G, X[rows])
+        X[rows] = _maximizers(Z.A, Z.b, Q[rows])
+        P[rows] = Z.c + _rowwise(Z.G, X[rows])
     return dc + np.sum(Q * X, axis=1), P
+
+
+def _empty_point(Z):
+    """Whether a set with no generators is empty: its constraints read
+    0 = b."""
+    return bool(Z.n_c) and np.max(np.abs(Z.b)) > MEMBERSHIP_TOL
+
+
+def _solve(cost, what, **program):
+    """min cost . x over the linprog program, solved by HiGHS at
+    PRIMAL_TOL: the solution, or None if the program is infeasible.
+    Any other outcome raises RuntimeError naming the program."""
+    res = linprog(cost, method="highs",
+                  options={"primal_feasibility_tolerance": PRIMAL_TOL},
+                  **program)
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise RuntimeError(f"{what} LP failed: {res.message}")
+    return res.x
 
 
 def _rowwise(M, V):
@@ -193,15 +208,12 @@ def _maximizers(A, b, Q):
     X = np.empty_like(Q)
     for start in range(0, len(Q), LP_BLOCKS):
         q = Q[start:start + LP_BLOCKS]
-        res = linprog(-q.ravel(), A_eq=_block_diagonal(A, len(q), q.size),
-                      b_eq=np.tile(b, len(q)),
-                      bounds=(-1.0, 1.0), method="highs",
-                      options={"primal_feasibility_tolerance": PRIMAL_TOL})
-        if res.status == 2:
+        x = _solve(-q.ravel(), "support",
+                   A_eq=_block_diagonal(A, len(q), q.size),
+                   b_eq=np.tile(b, len(q)), bounds=(-1.0, 1.0))
+        if x is None:
             raise EmptySetError("empty set has no support")
-        if res.status != 0:
-            raise RuntimeError(f"support LP failed: {res.message}")
-        X[start:start + len(q)] = res.x.reshape(q.shape)
+        X[start:start + len(q)] = x.reshape(q.shape)
     return X
 
 
@@ -238,19 +250,19 @@ def _sup_distances(Z, points):
     point per block, LP_BLOCKS blocks to a program: the blocks
     share no variable, so minimizing the sum of the t_j minimizes each.
     """
-    Z, c, G, A, b = _raw(Z)
+    Z = as_conzono(Z)
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if Z.n_g == 0:
-        if Z.n_c and np.max(np.abs(b)) > MEMBERSHIP_TOL:
+        if _empty_point(Z):
             return np.full(len(P), np.inf)
-        return np.max(np.abs(P - c), axis=1, initial=0.0)
+        return np.max(np.abs(P - Z.c), axis=1, initial=0.0)
     n_g, n = Z.n_g, Z.n
     out = np.empty(len(P))
     for start in range(0, len(P), LP_BLOCKS):
-        gaps = P[start:start + LP_BLOCKS] - c
+        gaps = P[start:start + LP_BLOCKS] - Z.c
         m = len(gaps)
         width = m * (n_g + 1)
-        xi = _block_diagonal(G, m, width)
+        xi = _block_diagonal(Z.G, m, width)
         # -t_j in every row of block j
         minus_t = csr_array((np.full(m * n, -1.0),
                              np.repeat(np.arange(m * n_g, width), n),
@@ -259,27 +271,16 @@ def _sup_distances(Z, points):
         b_ub = np.concatenate([gaps.ravel(), -gaps.ravel()])
         A_eq = b_eq = None
         if Z.n_c:
-            A_eq = _block_diagonal(A, m, width)
-            b_eq = np.tile(b, m)
+            A_eq = _block_diagonal(Z.A, m, width)
+            b_eq = np.tile(Z.b, m)
         cost = np.concatenate([np.zeros(m * n_g), np.ones(m)])
         bounds = [(-1.0, 1.0)] * (m * n_g) + [(0.0, None)] * m
-        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs",
-                      options={"primal_feasibility_tolerance": PRIMAL_TOL})
-        if res.status == 2:
+        x = _solve(cost, "membership", A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                   b_eq=b_eq, bounds=bounds)
+        if x is None:
             return np.full(len(P), np.inf)
-        if res.status != 0:
-            raise RuntimeError(f"membership LP failed: {res.message}")
-        out[start:start + m] = res.x[m * n_g:]
+        out[start:start + m] = x[m * n_g:]
     return out
-
-
-def _empty_lp(Z):
-    try:
-        _support_points(Z, np.zeros((1, as_conzono(Z).n)))  # a feasibility LP
-    except EmptySetError:
-        return True
-    return False
 
 
 def _dedupe(points):
@@ -288,7 +289,7 @@ def _dedupe(points):
     return points[np.sort(keep)]
 
 
-def enumerate_vertices(Z, max_generators=GENERATOR_BUDGET):
+def enumerate_vertices(Z):
     """Vertices of a set with n <= 3, by direction-sweep LPs.
 
     Returns an array of vertex rows; 2-D output is ordered
@@ -299,9 +300,9 @@ def enumerate_vertices(Z, max_generators=GENERATOR_BUDGET):
     Z = as_conzono(Z)
     if Z.n > 3:
         raise ValueError("vertex enumeration supports n <= 3 only")
-    if Z.n_g > max_generators:
+    if Z.n_g > GENERATOR_BUDGET:
         raise ValueError(
-            f"generator budget exceeded ({Z.n_g} > {max_generators})")
+            f"generator budget exceeded ({Z.n_g} > {GENERATOR_BUDGET})")
     pts = _dedupe(_sweep(Z)[1])  # EmptySetError propagates
     if len(pts) == 1:
         return pts
@@ -371,9 +372,8 @@ class _SetProbe:
 
     COARSE_ROWS = 64
 
-    def __init__(self, Z, tol=MEMBERSHIP_TOL):
+    def __init__(self, Z):
         self.Z = as_conzono(Z)
-        self.tol = tol
         self.D = directions(self.Z.n)
         self.f, pts = _sweep(self.Z)
         try:
@@ -382,29 +382,31 @@ class _SetProbe:
         except (QhullError, ValueError):
             self.inner = None  # flat set: fall through to LPs
 
-    def _below(self, points, H, f):
-        """Whether max_i (H_i . p - f_i) <= tol for every row p of points."""
-        out = np.empty(len(points), dtype=bool)
-        for start in range(0, len(points), 4096):
-            chunk = points[start:start + 4096]
-            out[start:start + 4096] = np.max(
-                chunk @ H.T - f, axis=1, initial=-np.inf) <= self.tol
-        return out
-
     def classify(self, points):
         points = np.asarray(points, dtype=float)
         k = self.COARSE_ROWS
-        keep = np.flatnonzero(self._below(points, self.D[:k], self.f[:k]))
-        keep = keep[self._below(points[keep], self.D[k:], self.f[k:])]
+        keep = np.flatnonzero(_below(points, self.D[:k], self.f[:k]))
+        keep = keep[_below(points[keep], self.D[k:], self.f[k:])]
         result = np.zeros(len(points), dtype=bool)
         band = keep
         if self.inner is not None:
-            inside = self._below(points[keep], self.inner[:, :-1],
-                                 -self.inner[:, -1])
+            inside = _below(points[keep], self.inner[:, :-1],
+                            -self.inner[:, -1])
             result[keep[inside]] = True
             band = keep[~inside]
-        result[band] = _sup_distances(self.Z, points[band]) <= self.tol
+        result[band] = _sup_distances(self.Z, points[band]) <= MEMBERSHIP_TOL
         return result
+
+
+def _below(points, H, f):
+    """Whether max_i (H_i . p - f_i) <= MEMBERSHIP_TOL for every row p of
+    points."""
+    out = np.empty(len(points), dtype=bool)
+    for start in range(0, len(points), 4096):
+        chunk = points[start:start + 4096]
+        out[start:start + 4096] = np.max(
+            chunk @ H.T - f, axis=1, initial=-np.inf) <= MEMBERSHIP_TOL
+    return out
 
 
 def volume(Z, samples=200_000, seed=DEFAULT_SEED):
@@ -418,22 +420,23 @@ def volume(Z, samples=200_000, seed=DEFAULT_SEED):
     n = Z.n
     if n > 4:
         raise ValueError("volume oracle supports n <= 4 only")
-    if _empty_lp(Z):
-        return 0.0, 0.0
-    if n == 1:
-        return float(_support_points(Z, [[1.0], [-1.0]])[0].sum()), 0.0
-    if n == 2:
-        verts = enumerate_vertices(Z)
-        return polygon_area(verts), 0.0
-    lo, hi = Z.parent_zonotope().interval_hull()
-    widths = hi - lo
-    box_volume = float(np.prod(widths))
-    if box_volume <= 0.0:
+    # each sweep raises EmptySetError at its base level on an empty set
+    try:
+        if n == 1:
+            return float(_support_points(Z, [[1.0], [-1.0]])[0].sum()), 0.0
+        if n == 2:
+            return polygon_area(enumerate_vertices(Z)), 0.0
+        lo, hi = Z.parent_zonotope().interval_hull()
+        widths = hi - lo
+        box_volume = float(np.prod(widths))
+        if box_volume <= 0.0:
+            return 0.0, 0.0
+        probe = _SetProbe(Z)
+    except EmptySetError:
         return 0.0, 0.0
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be positive")
-    probe = _SetProbe(Z)
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples
@@ -466,28 +469,27 @@ def _grid(lo, hi, density):
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def sets_equal(X, Y, grid=15, tol=SUPPORT_TOL):
+def sets_equal(X, Y, grid=15):
     """Set equality by support sweep plus bidirectional grid membership.
 
-    A support mismatch beyond tol anywhere on the direction sweep, or
-    a grid point inside one set but outside the tol-inflated other,
-    decides inequality.  n <= 3.
+    A support mismatch beyond SUPPORT_TOL anywhere on the direction
+    sweep, or a grid point inside one set but outside the other inflated
+    by SUPPORT_TOL, decides inequality.  n <= 3.
     """
     X, Y = as_conzono(X), as_conzono(Y)
     if X.n != Y.n:
         raise ValueError("dimension mismatch")
     if X.n > 3:
         raise ValueError("equality oracle supports n <= 3 only")
-    # each sweep raises EmptySetError exactly when its set is empty
-    try:
-        top_x = _sweep(X)[0]
-    except EmptySetError:
-        return _empty_lp(Y)
-    try:
-        top_y = _sweep(Y)[0]
-    except EmptySetError:
-        return False
-    if np.any(np.abs(top_x - top_y) > tol):
+    tops = []
+    for Z in (X, Y):
+        try:
+            tops.append(_sweep(Z)[0])
+        except EmptySetError:  # raised exactly when the set is empty
+            tops.append(None)
+    if tops[0] is None or tops[1] is None:
+        return tops[0] is tops[1]
+    if np.any(np.abs(tops[0] - tops[1]) > SUPPORT_TOL):
         return False
     lo_x, hi_x = X.parent_zonotope().interval_hull()
     lo_y, hi_y = Y.parent_zonotope().interval_hull()
@@ -496,11 +498,11 @@ def sets_equal(X, Y, grid=15, tol=SUPPORT_TOL):
     points = _grid(lo, hi, int(grid))
     dist_x, dist_y = _sup_distances(X, points), _sup_distances(Y, points)
     in_x, in_y = dist_x <= MEMBERSHIP_TOL, dist_y <= MEMBERSHIP_TOL
-    return not np.any((in_x & ~in_y & (dist_y > tol))
-                      | (in_y & ~in_x & (dist_x > tol)))
+    return not np.any((in_x & ~in_y & (dist_y > SUPPORT_TOL))
+                      | (in_y & ~in_x & (dist_x > SUPPORT_TOL)))
 
 
-def pontryagin_oracle(Z1, Z2, grid=41, tol=MEMBERSHIP_TOL):
+def pontryagin_oracle(Z1, Z2, grid=41):
     """Definitional difference check: grid points z with z + Z2 inside Z1.
 
     Returns (points, mask).  A point passes iff every vertex v of Z2
@@ -517,11 +519,11 @@ def pontryagin_oracle(Z1, Z2, grid=41, tol=MEMBERSHIP_TOL):
     anchor = verts.mean(axis=0)  # in Z2, so the difference fits the shifted box
     points = _grid(lo - anchor, hi - anchor, int(grid))
     shifted = (points[:, None, :] + verts[None, :, :]).reshape(-1, Z1.n)
-    inside = _sup_distances(Z1, shifted) <= tol
+    inside = _sup_distances(Z1, shifted) <= MEMBERSHIP_TOL
     return points, inside.reshape(len(points), len(verts)).all(axis=1)
 
 
-def horizon_feasible(sys, x0, x_star, N, tol=MEMBERSHIP_TOL):
+def horizon_feasible(sys, x0, x_star, N):
     """One-shot LP over the whole control horizon: can x0 reach x_star?
 
     Stacks the input coefficients of all N steps into a single vector
@@ -531,11 +533,12 @@ def horizon_feasible(sys, x0, x_star, N, tol=MEMBERSHIP_TOL):
         x(j) = A^j x0 + sum_i A^(j-1-i) B (c_u + G_u eta_i),
         H x(j) <= f  for j = 0..N-1,   x(N) = x_star.
 
-    The terminal condition is an equality up to tol (two-sided rows),
-    which keeps points produced by float recursions from being rejected
-    on roundoff; HiGHS runs at PRIMAL_TOL, below tol, so tol is the
-    tolerance enforced.  Independent of the backward recursion: it never calls
-    the set operations whose output it is meant to judge.
+    The terminal condition is an equality up to MEMBERSHIP_TOL
+    (two-sided rows), which keeps points produced by float recursions
+    from being rejected on roundoff; HiGHS runs at PRIMAL_TOL, below
+    it, so MEMBERSHIP_TOL is the tolerance enforced.  Independent of the
+    backward recursion: it never calls the set operations whose output
+    it is meant to judge.
 
     Before the LP, the least-squares input sequence for the terminal
     equality is tried as a witness: if it meets every row and bound of
@@ -570,19 +573,14 @@ def horizon_feasible(sys, x0, x_star, N, tol=MEMBERSHIP_TOL):
     b_ub = np.concatenate([f - H @ const[j] for j in range(N)])
     gap = x_star - const[N]
     A_ub = np.vstack([A_ub, coef[N], -coef[N]])
-    b_ub = np.concatenate([b_ub, gap + tol, -gap + tol])
+    b_ub = np.concatenate([b_ub, gap + MEMBERSHIP_TOL,
+                           -gap + MEMBERSHIP_TOL])
     eta = np.linalg.lstsq(coef[N], gap, rcond=None)[0]
     witness = bool(np.all(np.abs(eta) <= 1.0) and np.all(A_ub @ eta <= b_ub))
     if witness or m == 0:
         return witness
-    res = linprog(np.zeros(N * m), A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(-1.0, 1.0)] * (N * m), method="highs",
-                  options={"primal_feasibility_tolerance": PRIMAL_TOL})
-    if res.status == 2:
-        return False
-    if res.status != 0:
-        raise RuntimeError(f"horizon LP failed: {res.message}")
-    return True
+    return _solve(np.zeros(N * m), "horizon", A_ub=A_ub, b_ub=b_ub,
+                  bounds=[(-1.0, 1.0)] * (N * m)) is not None
 
 
 def sample_coeffs(Z, count, seed=DEFAULT_SEED):
@@ -590,17 +588,17 @@ def sample_coeffs(Z, count, seed=DEFAULT_SEED):
     convex combinations of LP-found coefficient-polytope vertices when
     equality constraints are present.
     """
-    Z, c, G, A, b = _raw(Z)
+    Z = as_conzono(Z)
     rng = np.random.default_rng(seed)
     count = int(count)
     if Z.n_g == 0:
-        if Z.n_c and np.max(np.abs(b)) > MEMBERSHIP_TOL:
+        if _empty_point(Z):
             raise EmptySetError("cannot sample an empty set")
         return np.zeros((count, 0))
     if Z.n_c == 0:
         return rng.uniform(-1.0, 1.0, (count, Z.n_g))
     basis = _maximizers(
-        A, b, rng.standard_normal((min(max(2 * Z.n_g, 8), 48), Z.n_g)))
+        Z.A, Z.b, rng.standard_normal((min(max(2 * Z.n_g, 8), 48), Z.n_g)))
     weights = rng.dirichlet(np.ones(len(basis)), size=count)
     return weights @ basis
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from zonokit import ConstrainedZonotope, Zonotope
+from zonokit import ConstrainedZonotope, Zonotope, oracle
 from zonokit.io import read_scenario
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -28,6 +28,14 @@ def make_conzono(rng, n, n_g, n_c, scale=1.0):
     A = rng.normal(size=(n_c, n_g))
     xi0 = rng.uniform(-0.8, 0.8, size=n_g)
     return ConstrainedZonotope(c, G, A, A @ xi0)
+
+
+def spread_directions(n, count):
+    """About count rows of oracle.directions(n) at an even stride: a
+    prefix of the 2-D sweep covers one arc (its first 40 rows span
+    19.5 degrees), and a prefix of the 3-D sweep only its coarse levels."""
+    D = oracle.directions(n)
+    return D[::len(D) // count]
 
 
 def make_no_generators(b):

@@ -11,7 +11,7 @@ from zonokit import (
 )
 from zonokit import oracle
 
-from conftest import make_conzono, make_zonotope
+from conftest import make_conzono, make_zonotope, spread_directions
 
 
 Z1 = Zonotope([0.0, 0.0], [[0, 1, 0], [1, 1, 2]])
@@ -41,7 +41,7 @@ def test_golden_sizes_after_halfspace_cuts():
 def test_hull_supports_equal_max_of_operands():
     # exact hull of convex sets: support is the pointwise max
     H = convex_hull(Z1, Z2)
-    for d in oracle.directions(2, seed=1)[:40]:
+    for d in spread_directions(2, 40):
         want = max(oracle.support_lp(Z1, d), oracle.support_lp(Z2, d))
         assert oracle.support_lp(H, d) == pytest.approx(want, abs=1e-6)
 
@@ -55,7 +55,7 @@ def test_hull_contains_operand_samples():
     for S in (Zc1, Zc2):
         for x in oracle.sample_inside(S, 15, seed=3):
             assert oracle.membership(H, x, tol=1e-6)
-    for d in oracle.directions(2, seed=4)[:25]:
+    for d in spread_directions(2, 25):
         want = max(oracle.support_lp(Zc1, d), oracle.support_lp(Zc2, d))
         assert oracle.support_lp(H, d) == pytest.approx(want, abs=1e-6)
 
@@ -80,7 +80,7 @@ def test_hull_with_point():
     p = np.array([4.0, -3.0])
     H = convex_hull(Z1, p)
     assert oracle.membership(H, p, tol=1e-6)
-    for d in oracle.directions(2, seed=7)[:30]:
+    for d in spread_directions(2, 30):
         want = max(oracle.support_lp(Z1, d), float(d @ p))
         assert oracle.support_lp(H, d) == pytest.approx(want, abs=1e-6)
 

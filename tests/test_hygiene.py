@@ -153,6 +153,16 @@ def test_only_numerics_and_oracle_import_linprog():
     assert users == LINPROG_USERS
 
 
+# The oracle's programs share one entry, oracle._solve: the solver
+# tolerance and the reading of statuses are written once.
+def test_oracle_names_linprog_in_one_call():
+    calls = [node.lineno for node in ast.walk(_parse("oracle.py"))
+             if isinstance(node, ast.Call) and "linprog" in (
+                 getattr(node.func, "id", None),
+                 getattr(node.func, "attr", None))]
+    assert len(calls) == 1, f"oracle.py calls linprog at lines {calls}"
+
+
 # solve_lp's outcomes are classified in numerics: the library reads an
 # optimum through numerics._optimum, and only hpolytope_to_conzono reads
 # statuses, because an empty or unbounded user polytope is a domain error.

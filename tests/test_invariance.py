@@ -23,7 +23,7 @@ from zonokit import numerics
 from zonokit.numerics import NumericalError
 from zonokit import oracle
 
-from conftest import make_conzono, make_zonotope
+from conftest import make_conzono, make_zonotope, spread_directions
 
 
 W = Zonotope([0.0, 0.0], 0.1 * np.eye(2))
@@ -102,7 +102,7 @@ class TestDisturbanceReach:
 
 class TestMrpiIterative:
     def test_meets_bound_and_is_invariant(self, closed_loop):
-        dirs = oracle.directions(2, seed=1)[:30]
+        dirs = spread_directions(2, 30)
         F, alpha, s = mrpi_iterative(closed_loop, 1e-2)
         assert 0.0 <= alpha < 1.0 and s >= 1
         assert F.n_g == s * W.n_g
@@ -113,14 +113,14 @@ class TestMrpiIterative:
         F_tight, _, s_tight = mrpi_iterative(closed_loop, 1e-4)
         assert s_tight > s_loose
         assert invariant_by_supports(closed_loop, F_tight,
-                                     oracle.directions(2, seed=2)[:30])
+                                     spread_directions(2, 30))
 
     def test_rotated_disturbance_uses_facet_enumeration(self):
         W_rot = Zonotope([0.0, 0.0], [[0.1, 0.05], [0.05, 0.1]])
         sys = AutonomousSystem([[0.6, 0.2], [-0.1, 0.5]], W_rot)
         F, alpha, _ = mrpi_iterative(sys, 1e-3)
         assert alpha < 1.0
-        assert invariant_by_supports(sys, F, oracle.directions(2, seed=3)[:30])
+        assert invariant_by_supports(sys, F, spread_directions(2, 30))
 
     def test_four_dimensional_disturbance(self):
         rng = np.random.default_rng(21)

@@ -26,20 +26,22 @@ from zonokit.sets import as_conzono
 from zonokit import oracle
 
 from conftest import (DEGENERATE, make_conzono, make_no_generators,
-                      make_zonotope)
+                      make_zonotope, spread_directions)
 
 
 def test_directions_are_deterministic_and_unit():
-    a = oracle.directions(3, seed=5)
-    b = oracle.directions(3, seed=5)
-    assert np.array_equal(a, b)
-    assert np.allclose(np.linalg.norm(a, axis=1), 1.0)
+    # only the Gaussian sweep of n >= 4 reads the seed
+    a = oracle.directions(4, seed=5)
+    assert np.array_equal(a, oracle.directions(4, seed=5))
+    assert not np.array_equal(a, oracle.directions(4, seed=6))
+    for n in range(1, 5):
+        assert np.allclose(np.linalg.norm(oracle.directions(n), axis=1), 1.0)
 
 
 def test_support_lp_matches_algebraic_support():
     rng = np.random.default_rng(0)
     Z = make_zonotope(rng, 3, 6)
-    for d in oracle.directions(3, seed=1)[:25]:
+    for d in spread_directions(3, 25):
         assert oracle.support_lp(Z, d) == pytest.approx(support(Z, d), abs=1e-8)
 
 
@@ -48,7 +50,7 @@ def test_vertices_attain_the_support():
     for _ in range(5):
         Z = make_zonotope(rng, 2, 4)
         verts = oracle.enumerate_vertices(Z)
-        for d in oracle.directions(2, seed=2)[:20]:
+        for d in spread_directions(2, 20):
             assert (verts @ d).max() == pytest.approx(
                 oracle.support_lp(Z, d), abs=1e-6)
 
@@ -312,6 +314,9 @@ def test_the_hull_sweep_solves_a_tenth_of_its_directions(monkeypatch):
     oracle._sweep(H)
     assert len(calls) <= 5
     assert sum(calls) <= 80 * H.n_g
+    calls.clear()
+    assert oracle.volume(H)[1] == 0.0
+    assert len(calls) == 5  # the sweep's programs and no emptiness LP
 
 
 def _sweep_cases():
@@ -353,7 +358,7 @@ def test_the_level_sweep_matches_one_lp_per_direction(kind, monkeypatch):
             == {tuple(v) for v in np.round(want, 9)})
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_an_empty_set_fails_its_sweep_at_the_base_level(n, monkeypatch):
     empty = ConstrainedZonotope(np.zeros(n), np.eye(n), [np.ones(n)],
                                 [n + 1.0])
@@ -361,6 +366,9 @@ def test_an_empty_set_fails_its_sweep_at_the_base_level(n, monkeypatch):
     with pytest.raises(EmptySetError):
         oracle._sweep(as_conzono(empty))
     assert len(calls) == 1
+    # its parent box is the full cube, so volume learns it from the sweep
+    assert oracle.volume(empty) == (0.0, 0.0)
+    assert len(calls) == 2
     with pytest.raises(EmptySetError):
         oracle.enumerate_vertices(DEGENERATE["empty"])
 
@@ -436,14 +444,15 @@ def test_pontryagin_mask_matches_one_membership_per_point(seed):
 def _per_point_classify(probe, points):
     """_SetProbe.classify with one membership LP per band point; also
     returns the band."""
-    outer = np.max(points @ probe.D.T - probe.f, axis=1) <= probe.tol
+    tol = oracle.MEMBERSHIP_TOL
+    outer = np.max(points @ probe.D.T - probe.f, axis=1) <= tol
     inside = np.zeros(len(points), dtype=bool)
     if probe.inner is not None:
         inside = np.max(points @ probe.inner[:, :-1].T + probe.inner[:, -1],
-                        axis=1) <= probe.tol
+                        axis=1) <= tol
     result, band = outer & inside, outer & ~inside
     for i in np.flatnonzero(band):
-        result[i] = oracle.membership(probe.Z, points[i], probe.tol)
+        result[i] = oracle.membership(probe.Z, points[i])
     return result, band
 
 
@@ -613,7 +622,7 @@ def test_horizon_without_input_generators_needs_no_lp(x_star, reachable,
     assert not calls
 
 
-def _reference_horizon_lp(sys, x0, x_star, N, tol=oracle.MEMBERSHIP_TOL):
+def _reference_horizon_lp(sys, x0, x_star, N):
     """horizon_feasible's LP alone, with no witness."""
     A, B = np.asarray(sys.A, float), np.asarray(sys.B, float)
     H, f = np.asarray(sys.X.H, float), np.asarray(sys.X.f, float)
@@ -628,6 +637,7 @@ def _reference_horizon_lp(sys, x0, x_star, N, tol=oracle.MEMBERSHIP_TOL):
         coef.append(step)
     gap = np.asarray(x_star, float) - const[N]
     A_ub = np.vstack([H @ coef[j] for j in range(N)] + [coef[N], -coef[N]])
+    tol = oracle.MEMBERSHIP_TOL
     b_ub = np.concatenate([f - H @ const[j] for j in range(N)]
                           + [gap + tol, -gap + tol])
     res = linprog(np.zeros(N * m), A_ub=A_ub, b_ub=b_ub,

@@ -5,7 +5,7 @@ from zonokit import EmptySetError, Zonotope, is_empty
 from zonokit.pontryagin import pontryagin_iterative, pontryagin_onestep
 from zonokit import numerics, oracle, pontryagin
 
-from conftest import make_zonotope
+from conftest import make_zonotope, spread_directions
 
 
 Z1_3D = Zonotope([0, 0, 0], [[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
@@ -80,7 +80,7 @@ def test_onestep_with_a_zero_generator(norm, zero_in):
 
 def test_onestep_inside_iterative_inside_oracle():
     rng = np.random.default_rng(1)
-    dirs = oracle.directions(2, seed=2)[:30]
+    dirs = spread_directions(2, 30)
     checked = 0
     for _ in range(8):
         Z1 = make_zonotope(rng, 2, 4)
@@ -119,7 +119,7 @@ def test_alternate_norms_still_certify(norm):
     S, result = pontryagin_onestep(Z1, Z2, norm=norm)
     assert (result.phi >= -1e-12).all()
     D = pontryagin_iterative(Z1, Z2)
-    for d in oracle.directions(2, seed=4)[:20]:
+    for d in spread_directions(2, 20):
         assert oracle.support_lp(S, d) <= oracle.support_lp(D, d) + 1e-7
 
 

@@ -14,6 +14,8 @@ from zonokit.reach import LinearSystem, wayset, wayset_inner_box, wayset_reduce
 from zonokit.sets import Halfspace, linear_map, minkowski_sum
 from zonokit import oracle
 
+from conftest import spread_directions
+
 
 # Raw representation sizes each skip-or-fold strategy lands on for the
 # bundled 3-state vehicle scenario (position / velocity / stored energy
@@ -82,7 +84,7 @@ class TestVehicleScenario:
         for x0 in oracle.sample_inside(W, 15, seed=8):
             assert oracle.horizon_feasible(doc.system, x0, doc.x_star, doc.N)
         # support points pushed outward must lose feasibility
-        for d in oracle.directions(3, seed=9)[:6]:
+        for d in spread_directions(3, 6):
             val, point = oracle._support_point(W, d)
             outside = point + 1e-3 * d / np.linalg.norm(d)
             assert not oracle.horizon_feasible(doc.system, outside,
@@ -93,7 +95,7 @@ class TestVehicleScenario:
         W = waysets["LP"]
         box = wayset_inner_box(W)
         assert box.n_c == 0 and box.n_g == 3
-        for d in oracle.directions(3, seed=10)[:20]:
+        for d in spread_directions(3, 20):
             assert oracle.support_lp(box, d) <= oracle.support_lp(W, d) + 1e-6
         anchored = wayset_inner_box(W, anchor=doc.x_star_minus)
         assert oracle.membership(anchored, doc.x_star_minus, tol=1e-6)
