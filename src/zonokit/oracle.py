@@ -3,14 +3,13 @@
 Everything here recomputes set predicates from the raw (c, G, A, b)
 data using scipy's linprog and Qhull directly -- deliberately not the
 library's own LP wrapper or closed-form shortcuts -- so the fast paths
-can be checked against an independently coded route.  Two shortcuts
-skip an LP, each on a proof, not a tolerance.  :func:`horizon_feasible`
-accepts its least-squares witness only after checking it against every
-row of its own LP, which alone says False unless it has no variables.
-A sweep direction d = a d_a + b d_b (a, b >= 0) whose parents d_a, d_b
-got the same maximizing point p takes p without an LP: the support
-function is sublinear, so support(d) <= a support(d_a) + b support(d_b)
-= d . p <= support(d).  Budgets are sized for n <= 4 and a few dozen
+can be checked against an independently coded route.  Three shortcuts
+skip an LP: the checked least-squares witness of
+:func:`horizon_feasible`, the maximizer a sweep row takes from its two
+parent rows (:func:`_support_points`), and :class:`_SetProbe`, which
+settles the points its set's sweep decides, so :func:`sets_equal`,
+:func:`pontryagin_oracle` and :func:`volume` solve distance LPs only
+for a thin band.  Budgets are sized for n <= 4 and a few dozen
 generators: this module is test tooling, kept out of the supported API
 surface.
 
@@ -45,9 +44,9 @@ GENERATOR_BUDGET = 128
 # linearly with it, and peak memory still grows: the verify
 # benchmark's peak RSS (seed 0) was 85.6 MiB at 16 blocks, 87.2 at 64,
 # 94.2 at 256 and 111.4 at 720 (a whole 2-D sweep in one program).
-# A seed-0 verify pass makes 119 linprog calls at 16 blocks, 49 at 64
-# and 35 at 256.  The batching tests need a sweep of 100 points to
-# span two programs.
+# A seed-0 verify pass makes 38 linprog calls at 16 blocks and 26 at 64
+# or 256.  The batching tests need a sweep of 100 points to span two
+# programs.
 LP_BLOCKS = 64
 
 _DEDUPE_DECIMALS = 9
@@ -137,7 +136,10 @@ def _icosphere(subdivisions):
 def _support_points(Z, D, levels=None):
     """Support values and maximizing points for every row of D.  By
     levels (:func:`_levels`), a row whose parents got the same point
-    takes it, and the other rows go to :func:`_maximizers`."""
+    takes it, and the other rows go to :func:`_maximizers`.  This is
+    exact: the support function is sublinear, so d = a d_a + b d_b
+    (a, b >= 0) with parents d_a, d_b maximized at p has support(d) <=
+    a support(d_a) + b support(d_b) = d . p <= support(d)."""
     Z = as_conzono(Z)
     D = np.atleast_2d(np.asarray(D, dtype=float))
     dc = _rowwise(Z.c[None], D)[:, 0]
@@ -360,9 +362,12 @@ def zonotope_volume_exact(Z):
 
 
 class _SetProbe:
-    """Bulk point classifier: a support-sweep outer polytope rejects,
-    the hull of the support points accepts, LPs resolve the thin band
-    in between.
+    """Bulk classifier for "within MEMBERSHIP_TOL (sup-norm) of the set".
+    The support sweep's rows, scaled to unit 1-norm (the sup norm's
+    dual), reject a point past a scaled support value by more than
+    MEMBERSHIP_TOL; the hull of the support points (points of the set)
+    accepts one within MEMBERSHIP_TOL of its facet planes; the band
+    between, all that a flat set (no hull) keeps, gets distance LPs.
 
     Rejection runs in two stages: the first COARSE_ROWS sweep rows (the
     coarse icosphere levels in 3-D, random directions in 4-D, so spread
@@ -374,19 +379,20 @@ class _SetProbe:
 
     def __init__(self, Z):
         self.Z = as_conzono(Z)
-        self.D = directions(self.Z.n)
         self.f, pts = _sweep(self.Z)
+        D = directions(self.Z.n)
+        scale = np.abs(D).sum(axis=1)
+        self.H, self.h = D / scale[:, None], self.f / scale
         try:
-            hull = ConvexHull(_dedupe(pts))
-            self.inner = hull.equations
+            self.inner = ConvexHull(_dedupe(pts)).equations
         except (QhullError, ValueError):
             self.inner = None  # flat set: fall through to LPs
 
     def classify(self, points):
         points = np.asarray(points, dtype=float)
         k = self.COARSE_ROWS
-        keep = np.flatnonzero(_below(points, self.D[:k], self.f[:k]))
-        keep = keep[_below(points[keep], self.D[k:], self.f[k:])]
+        keep = np.flatnonzero(_below(points, self.H[:k], self.h[:k]))
+        keep = keep[_below(points[keep], self.H[k:], self.h[k:])]
         result = np.zeros(len(points), dtype=bool)
         band = keep
         if self.inner is not None:
@@ -400,11 +406,12 @@ class _SetProbe:
 
 def _below(points, H, f):
     """Whether max_i (H_i . p - f_i) <= MEMBERSHIP_TOL for every row p of
-    points."""
+    points, in chunks that bound each temporary at 2**16 entries."""
     out = np.empty(len(points), dtype=bool)
-    for start in range(0, len(points), 4096):
-        chunk = points[start:start + 4096]
-        out[start:start + 4096] = np.max(
+    step = max(1, 2**16 // max(1, len(H)))
+    for start in range(0, len(points), step):
+        chunk = points[start:start + step]
+        out[start:start + step] = np.max(
             chunk @ H.T - f, axis=1, initial=-np.inf) <= MEMBERSHIP_TOL
     return out
 
@@ -439,12 +446,9 @@ def volume(Z, samples=200_000, seed=DEFAULT_SEED):
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
     hits = 0
-    remaining = samples
-    while remaining > 0:
-        m = min(remaining, 65536)
-        pts = lo + rng.random((m, n)) * widths
+    for start in range(0, samples, 65536):
+        pts = lo + rng.random((min(65536, samples - start), n)) * widths
         hits += int(probe.classify(pts).sum())
-        remaining -= m
     p = hits / samples
     estimate = box_volume * p
     stderr = box_volume * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
@@ -474,32 +478,33 @@ def sets_equal(X, Y, grid=15):
 
     A support mismatch beyond SUPPORT_TOL anywhere on the direction
     sweep, or a grid point inside one set but outside the other inflated
-    by SUPPORT_TOL, decides inequality.  n <= 3.
+    by SUPPORT_TOL, decides inequality.  n <= 3.  Each set's _SetProbe
+    holds its sweep and classifies the grid; only its band and the points
+    one set alone accepts get distance LPs.
     """
     X, Y = as_conzono(X), as_conzono(Y)
     if X.n != Y.n:
         raise ValueError("dimension mismatch")
     if X.n > 3:
         raise ValueError("equality oracle supports n <= 3 only")
-    tops = []
+    probes = []
     for Z in (X, Y):
         try:
-            tops.append(_sweep(Z)[0])
+            probes.append(_SetProbe(Z))
         except EmptySetError:  # raised exactly when the set is empty
-            tops.append(None)
-    if tops[0] is None or tops[1] is None:
-        return tops[0] is tops[1]
-    if np.any(np.abs(tops[0] - tops[1]) > SUPPORT_TOL):
+            probes.append(None)
+    px, py = probes
+    if px is None or py is None:
+        return px is py
+    if np.any(np.abs(px.f - py.f) > SUPPORT_TOL):
         return False
     lo_x, hi_x = X.parent_zonotope().interval_hull()
     lo_y, hi_y = Y.parent_zonotope().interval_hull()
-    lo = np.minimum(lo_x, lo_y)
-    hi = np.maximum(hi_x, hi_y)
-    points = _grid(lo, hi, int(grid))
-    dist_x, dist_y = _sup_distances(X, points), _sup_distances(Y, points)
-    in_x, in_y = dist_x <= MEMBERSHIP_TOL, dist_y <= MEMBERSHIP_TOL
-    return not np.any((in_x & ~in_y & (dist_y > SUPPORT_TOL))
-                      | (in_y & ~in_x & (dist_x > SUPPORT_TOL)))
+    points = _grid(np.minimum(lo_x, lo_y), np.maximum(hi_x, hi_y), int(grid))
+    in_x, in_y = px.classify(points), py.classify(points)
+    return not (np.any(_sup_distances(Y, points[in_x & ~in_y]) > SUPPORT_TOL)
+                or np.any(_sup_distances(X, points[in_y & ~in_x])
+                          > SUPPORT_TOL))
 
 
 def pontryagin_oracle(Z1, Z2, grid=41):
@@ -507,7 +512,8 @@ def pontryagin_oracle(Z1, Z2, grid=41):
 
     Returns (points, mask).  A point passes iff every vertex v of Z2
     satisfies z + v in Z1 -- sufficient because shifting a polytope
-    keeps it the hull of its shifted vertices and Z1 is convex.  n <= 3.
+    keeps it the hull of its shifted vertices and Z1 is convex.  The
+    shifted vertices are classified by :class:`_SetProbe` of Z1.  n <= 3.
     """
     Z1, Z2 = as_conzono(Z1), as_conzono(Z2)
     if Z1.n != Z2.n:
@@ -519,7 +525,10 @@ def pontryagin_oracle(Z1, Z2, grid=41):
     anchor = verts.mean(axis=0)  # in Z2, so the difference fits the shifted box
     points = _grid(lo - anchor, hi - anchor, int(grid))
     shifted = (points[:, None, :] + verts[None, :, :]).reshape(-1, Z1.n)
-    inside = _sup_distances(Z1, shifted) <= MEMBERSHIP_TOL
+    try:
+        inside = _SetProbe(Z1).classify(shifted)
+    except EmptySetError:  # an empty Z1 holds no shift of Z2
+        inside = np.zeros(len(shifted), dtype=bool)
     return points, inside.reshape(len(points), len(verts)).all(axis=1)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,7 +446,11 @@ def _per_point_classify(probe, points):
     """_SetProbe.classify with one membership LP per band point; also
     returns the band."""
     tol = oracle.MEMBERSHIP_TOL
-    outer = np.max(points @ probe.D.T - probe.f, axis=1) <= tol
+    # reject when d . p - f(d) > tol |d|_1, on rows scaled to |d|_1 = 1
+    D = oracle.directions(probe.Z.n)
+    scale = np.abs(D).sum(axis=1)
+    outer = np.max(points @ (D / scale[:, None]).T - probe.f / scale,
+                   axis=1) <= tol
     inside = np.zeros(len(points), dtype=bool)
     if probe.inner is not None:
         inside = np.max(points @ probe.inner[:, :-1].T + probe.inner[:, -1],
@@ -495,6 +500,110 @@ def test_probe_band_matches_one_membership_per_point(monkeypatch):
     assert 0 < want[band].sum() < band.sum()
 
 
+def test_probe_rejects_only_beyond_the_sup_norm_tolerance():
+    # 9e-10 past the corner in both coordinates is within MEMBERSHIP_TOL
+    # in sup-norm, but 1.27e-9 past the diagonal sweep row
+    square = Zonotope([0.0, 0.0], np.eye(2))
+    probe = oracle._SetProbe(square)
+    for eps, inside in ((9e-10, True), (1.1e-9, False)):
+        p = np.full(2, 1.0 + eps)
+        assert oracle.membership(square, p) is inside
+        assert probe.classify(p[None]).tolist() == [inside]
+
+
+def test_a_three_dimensional_volume_allocates_little():
+    # the classifier's temporaries took 159 MiB here when it compared
+    # 4096-point chunks with the 2,498 fine sweep rows
+    Z = make_zonotope(np.random.default_rng(3), 3, 5)
+    oracle.volume(Z, 1_000)  # builds the cached icosphere outside the trace
+    tracemalloc.start()
+    try:
+        oracle.volume(Z, 65_536)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def _all_lp_sets_equal(X, Y, grid):
+    """sets_equal with a distance LP for every grid point, as written
+    before the probes classified the grid."""
+    X, Y = as_conzono(X), as_conzono(Y)
+    tops = []
+    for Z in (X, Y):
+        try:
+            tops.append(oracle._sweep(Z)[0])
+        except EmptySetError:
+            tops.append(None)
+    if tops[0] is None or tops[1] is None:
+        return tops[0] is tops[1]
+    if np.any(np.abs(tops[0] - tops[1]) > oracle.SUPPORT_TOL):
+        return False
+    lo_x, hi_x = X.parent_zonotope().interval_hull()
+    lo_y, hi_y = Y.parent_zonotope().interval_hull()
+    points = oracle._grid(np.minimum(lo_x, lo_y), np.maximum(hi_x, hi_y),
+                          grid)
+    dist_x = oracle._sup_distances(X, points)
+    dist_y = oracle._sup_distances(Y, points)
+    in_x = dist_x <= oracle.MEMBERSHIP_TOL
+    in_y = dist_y <= oracle.MEMBERSHIP_TOL
+    return not np.any((in_x & ~in_y & (dist_y > oracle.SUPPORT_TOL))
+                      | (in_y & ~in_x & (dist_x > oracle.SUPPORT_TOL)))
+
+
+def _moved(Z, shift):
+    Z = as_conzono(Z)
+    return ConstrainedZonotope(Z.c + shift, Z.G, Z.A, Z.b)
+
+
+def _equality_cases():
+    rng = np.random.default_rng(41)
+    square = Zonotope([0.0, 0.0], np.eye(2))
+    t02 = reduce_fully(generalized_intersection(
+        Zonotope([0.0, 0.0], [[1.0, 1.0], [1.0, -1.0]]), square))
+    hull = convex_hull(*T05_HULL_OPERANDS)
+    solid2, solid3 = make_conzono(rng, 2, 6, 2), make_conzono(rng, 3, 6, 2)
+    segment = Zonotope([0.5, -1.0], [[1.0], [2.0]])
+    plane = rng.normal(size=(3, 2))
+    flat = ConstrainedZonotope(rng.normal(size=3),
+                               plane @ rng.normal(size=(2, 5)),
+                               rng.normal(size=(1, 5)), [0.3])
+    interval = Zonotope([0.25], [[1.0, -0.5]])
+    x = np.eye(2)[0]
+    return {
+        "square t02": (t02, square, 15),
+        "hull t05": (reduce_fully(hull), hull, 5),
+        "random 2-D": (reduce_fully(solid2), solid2, 5),
+        "random 3-D": (reduce_fully(solid3), solid3, 5),
+        "square by 5e-7": (_moved(square, 5e-7 * x), square, 15),
+        "square by 1e-5": (_moved(square, 1e-5 * x), square, 15),
+        "square by 1e-3": (_moved(square, 1e-3 * x), square, 15),
+        "random 2-D by 1e-5": (_moved(solid2, 1e-5 * x), solid2, 5),
+        "random 3-D by 1e-3": (_moved(solid3, 1e-3 * np.ones(3)), solid3, 5),
+        # a segment and a 3-D sheet: no inner hull, all kept points on LPs
+        "flat segment": (Zonotope(segment.c, [[0.5, 0.5], [1.0, 1.0]]),
+                         segment, 15),
+        "flat sheet": (flat, flat, 5),
+        "flat sheet by 1e-5": (_moved(flat, 1e-5 * np.ones(3)), flat, 5),
+        "n = 1": (Zonotope([0.25], [[1.5]]), interval, 15),
+        "n = 1 by 1e-3": (_moved(interval, [1e-3]), interval, 15),
+        "no generators": (make_no_generators((0.0, 0.0)),
+                          Zonotope.singleton([1.0, -2.0]), 5),
+        "no generators apart": (make_no_generators((0.0, 0.0)),
+                                Zonotope.singleton([1.0, -2.0 + 1e-3]), 5),
+        "empty and empty": (DEGENERATE["empty"], DEGENERATE["empty"], 5),
+        "empty and square": (DEGENERATE["empty"], square, 5),
+    }
+
+
+@pytest.mark.parametrize("case", list(_equality_cases()))
+def test_sets_equal_matches_the_all_lp_grid_rule(case):
+    X, Y, grid = _equality_cases()[case]
+    want = _all_lp_sets_equal(X, Y, grid)
+    assert oracle.sets_equal(X, Y, grid) is want
+    assert oracle.sets_equal(Y, X, grid) is want
+
+
 def test_sample_inside_lands_inside():
     rng = np.random.default_rng(9)
     Zc = make_conzono(rng, 2, 5, 2)
@@ -504,13 +613,16 @@ def test_sample_inside_lands_inside():
         assert oracle.membership(Zc, x, tol=1e-7)
 
 
-def test_sets_equal_accepts_representation_changes():
+def test_sets_equal_accepts_representation_changes(monkeypatch):
+    calls = _counting_linprog(monkeypatch)
     Z = Zonotope([1.0, -1.0], [[1.0, 0.5], [0.0, 2.0]])
     # each generator chopped in half, halves listed apart
     split = Zonotope([1.0, -1.0], [[0.5, 0.25, 0.5, 0.25],
                                    [0.0, 1.0, 0.0, 1.0]])
     assert oracle.sets_equal(Z, split)
     assert not oracle.sets_equal(Z, Zonotope([1.1, -1.0], Z.G))
+    # plain zonotopes sweep in closed form and their probes settle the grid
+    assert calls == []
 
 
 def _support_sweep(Z):
