@@ -27,6 +27,7 @@ import scipy.linalg
 from .halfspaces import interval_refine
 from .reduction import _canonical, eliminate_pair
 from .numerics import (
+    ZERO_ENTRY,
     LpBuilder,
     NumericalError,
     _optimum,
@@ -65,8 +66,8 @@ def _coefficient_polytope(A, b):
     under the column permutation, cols(A) - rank(A) columns with an
     identity block on the free coefficients.  H = [T; -T] is therefore
     mostly unit rows, which keeps the containment programs sparse; f =
-    [1 - s; 1 + s], and ``live`` marks the nonzero rows of H.  Returns
-    ``(s, T, H, f, live)``.
+    [1 - s; 1 + s], and ``live`` marks the rows of H with an entry above
+    ``ZERO_ENTRY``.  Returns ``(s, T, H, f, live)``.
     """
     R, d, info = gauss_jordan_full_pivot(A, b)
     rank, perm, n = info["rank"], info["col_perm"], A.shape[1]
@@ -77,7 +78,7 @@ def _coefficient_polytope(A, b):
     T[perm[rank:]] = np.eye(n - rank)
     H = np.vstack([T, -T])
     f = np.concatenate([1.0 - s, 1.0 + s])
-    return s, T, H, f, np.abs(H).max(axis=1, initial=0.0) > 1e-12
+    return s, T, H, f, np.abs(H).max(axis=1, initial=0.0) > ZERO_ENTRY
 
 
 class ContainmentCertificate:
@@ -386,10 +387,9 @@ def inner_scale(Z_c, template, norm="inf", must_contain=None):
     # zero template column.
     sizes = t.G.any(axis=0)
     if t.n_c:
-        s_r, T_r, Hx, fx, live = _coefficient_polytope(t.A, t.b)
-        if np.abs(t.A @ s_r - t.b).max(initial=0.0) > 1e-9 * max(
-                1.0, np.abs(t.b).max(initial=0.0)):
+        if _canonical(t) is None:
             raise ValueError("template constraints are inconsistent")
+        s_r, T_r, Hx, fx, live = _coefficient_polytope(t.A, t.b)
         # The scaled template is {center + G diag(phi) (s_r + T_r xi') :
         # Hx xi' <= fx}; its facets do not move with phi.  A pinned
         # coefficient (zero row of T_r) only translates the set, as the
@@ -483,16 +483,12 @@ def make_template(Z_c, kind):
     if kind in ("box", "zonotope"):
         # The zonotope template's shape depends on the basis: keep the
         # least-norm centre and the orthonormal null-space basis here.
-        # The box template reads only the centre.
-        if work.n_c:
-            s = np.linalg.lstsq(work.A, work.b, rcond=None)[0]
-        else:
-            s = np.zeros(work.n_g)
-        center = work.c + work.G @ s
+        # The box template reads only the centre.  With no rows, s = 0
+        # and T = I.
+        center = work.c + work.G @ np.linalg.lstsq(work.A, work.b, rcond=None)[0]
         if kind == "box":
             return Zonotope(center, np.eye(work.n))
-        T = scipy.linalg.null_space(work.A) if work.n_c else np.eye(work.n_g)
-        return Zonotope(center, work.G @ T)
+        return Zonotope(center, work.G @ scipy.linalg.null_space(work.A))
     if kind != "drop_pair":
         raise ValueError(f"unknown template kind {kind!r}; choose from {TEMPLATE_KINDS}")
 

@@ -14,7 +14,7 @@ halfspace before a cut is folded into the representation:
 
 import numpy as np
 
-from .numerics import LinearProgram, solve_lp, INFEASIBLE, UNBOUNDED
+from .numerics import LinearProgram, solve_lp, INFEASIBLE, UNBOUNDED, ZERO_ENTRY
 from .sets import (
     ConstrainedZonotope,
     EmptySetError,
@@ -26,10 +26,6 @@ from .sets import (
 )
 
 STRATEGIES = ("ZH", "LP", "IA")
-
-# Entries of A smaller than this are treated as structural zeros when
-# dividing in the refinement loop.
-DIV_TOL = 1e-12
 
 # Outward padding of every refined interval, so floating-point rounding
 # cannot manufacture a spurious emptiness certificate.
@@ -189,7 +185,7 @@ def interval_refine(Z, iterations=2):
     """Interval refinement of the coefficient constraints of Z.
 
     Starting from the unit box E_j = [-1, 1] and R_j = (-inf, inf), each
-    constraint row i and each entry a_ij != 0 tightens
+    constraint row i and each entry |a_ij| > ``ZERO_ENTRY`` tightens
 
         R_j <- R_j  intersect  (b_i - sum_{k != j} a_ik E_k) / a_ij
         E_j <- E_j  intersect  R_j.
@@ -213,7 +209,7 @@ def interval_refine(Z, iterations=2):
     E = IntervalVector.unit(m)
     R = IntervalVector.reals(m)
     rows = []
-    for row, keep, rhs in zip(Z.A, np.abs(Z.A) > DIV_TOL, Z.b):
+    for row, keep, rhs in zip(Z.A, np.abs(Z.A) > ZERO_ENTRY, Z.b):
         nz = keep.nonzero()[0]
         if nz.size:
             rows.append((nz, row[nz], rhs))

@@ -165,7 +165,7 @@ def document_to_scenario(doc):
     U = Zonotope(_array(U_doc, "c", 1, "U"), _array(U_doc, "G", 2, "U"))
     x_star = _array(doc, "x_star", 1, "scenario")
     N = _field(doc, "N", "scenario")
-    if not isinstance(N, int) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:  # bool subclasses int
         raise SchemaError("field 'N' must be a positive integer")
     x_star_minus = None
     if "x_star_minus" in doc:

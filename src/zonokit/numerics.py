@@ -172,6 +172,10 @@ def _optimum(p):
 # of a zero row, counts as zero.
 RANK_TOL = 1e-9
 
+# The one reading of a zero constraint entry, HiGHS's (its default
+# small_matrix_value): entries of at most this magnitude are zeros.
+ZERO_ENTRY = 1e-9
+
 
 def gauss_jordan_full_pivot(A, b):
     """Reduce [A | b] to reduced row-echelon form with full pivoting.
@@ -186,7 +190,9 @@ def gauss_jordan_full_pivot(A, b):
     ``info`` also carries ``rank``, ``zero_rows`` (indices of reduced
     rows with no pivot -- rank deficiency), and ``inconsistent_rows``
     (zero rows whose rhs is nonzero, i.e. an infeasible system).
-    Rank deficiency is reported, never raised.
+    Rank deficiency is reported, never raised.  Entries of A of at most
+    ``ZERO_ENTRY`` = 1e-9 read as zeros, as in the LP backend, so scale
+    rows above that; a pivot exceeds ``ZERO_ENTRY`` and RANK_TOL max|A|.
     """
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float).reshape(-1)
@@ -196,9 +202,10 @@ def gauss_jordan_full_pivot(A, b):
     if b.size != m:
         raise ValueError("row count of A must equal the length of b")
 
+    A[np.abs(A) <= ZERO_ENTRY] *= 0.0  # read as zeros; signed zeros stay
     M = np.column_stack([A, b])
     col_perm = np.arange(n)
-    thresh = RANK_TOL * max(np.abs(A).max(initial=0.0), 1e-300)
+    thresh = max(RANK_TOL * np.abs(A).max(initial=0.0), ZERO_ENTRY)
 
     rank = 0
     for k in range(min(m, n)):

@@ -17,8 +17,8 @@ Two mechanisms:
 
 import numpy as np
 
-from .halfspaces import DIV_TOL, _solved_ranges, interval_refine
-from .numerics import gauss_jordan_full_pivot
+from .halfspaces import _solved_ranges, interval_refine
+from .numerics import ZERO_ENTRY, gauss_jordan_full_pivot
 from .sets import _make
 
 # Parallelism tolerance: || g_i / |g_i| -+ g_j / |g_j| || <= EPS_PARALLEL,
@@ -107,7 +107,7 @@ def _redundant_pair(work, E):
         lo, hi = _solved_ranges(A, bb, E.lo, E.hi)
     # (r, c) whose solved range R_rc lies in [-1, 1] (the cheap necessary
     # test), largest |a_rc| first, ties in descending (r, c)
-    rs, cs = np.nonzero((np.abs(A) > DIV_TOL)
+    rs, cs = np.nonzero((np.abs(A) > ZERO_ENTRY)
                         & (lo >= -1.0 - CONTAIN_TOL) & (hi <= 1.0 + CONTAIN_TOL))
     order = np.argsort(np.abs(A[rs, cs]), kind="stable")[::-1]
     for r, c in zip(rs[order], cs[order]):

@@ -44,6 +44,9 @@ def make_no_generators(b):
     return ConstrainedZonotope([1.0, -2.0], np.zeros((2, 0)), np.zeros((2, 0)), b)
 
 
+# Generators for which imposing xi_1 = xi_2 shrinks the set.
+ROUNDING_G = [[1.0, -0.5, 0.3, 0.2], [0.5, 1.0, -0.4, 0.6]]
+
 # One member per degenerate shape: every LP-backed operation must give a
 # verdict on each, or reject an empty one as empty.
 DEGENERATE = {
@@ -63,6 +66,13 @@ DEGENERATE = {
     "no generators, inconsistent": make_no_generators((1.0, 0.0)),
     "constrained 4-D": make_conzono(np.random.default_rng(7), 4, 8, 2),
     "empty": ConstrainedZonotope([0.0, 0.0], np.eye(2), [[1.0, 1.0]], [3.0]),
+    # Rows whose entries are at most numerics.ZERO_ENTRY read as zeros in
+    # every layer, as in HiGHS: xi_1 = xi_2 is not imposed, and 0 = 1e-12
+    # holds (the literal row would pin xi_1 at 1e4, an empty set).
+    "rounding-level row": ConstrainedZonotope(
+        [0.0, 0.0], ROUNDING_G, [[1e-12, -1e-12, 0.0, 0.0]], [0.0]),
+    "rounding-level offset": ConstrainedZonotope(
+        [0.0, 0.0], ROUNDING_G, [[1e-16, 0.0, 0.0, 0.0]], [1e-12]),
 }
 
 

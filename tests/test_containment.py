@@ -27,7 +27,7 @@ from zonokit.containment import (
     ah_containment_residual,
     zonotope_containment_residual,
 )
-from zonokit.numerics import LpBuilder, NumericalError, optimize_scaling
+from zonokit.numerics import ZERO_ENTRY, LpBuilder, NumericalError, optimize_scaling
 from zonokit.reduction import _canonical
 from zonokit import oracle
 
@@ -193,7 +193,8 @@ class TestInnerScale:
 
 def orthonormal_coefficient_polytope(A, b):
     """Reference parametrization: the least-norm particular solution and
-    an orthonormal null-space basis."""
+    an orthonormal null-space basis, entries up to ZERO_ENTRY read as 0."""
+    A = np.where(np.abs(A) > ZERO_ENTRY, A, 0.0)
     if A.shape[0] == 0:
         s, T = np.zeros(A.shape[1]), np.eye(A.shape[1])
     else:
@@ -201,7 +202,7 @@ def orthonormal_coefficient_polytope(A, b):
         T = scipy.linalg.null_space(A)
     H = np.vstack([T, -T])
     f = np.concatenate([1.0 - s, 1.0 + s])
-    return s, T, H, f, np.abs(H).max(axis=1, initial=0.0) > 1e-12
+    return s, T, H, f, np.abs(H).max(axis=1, initial=0.0) > ZERO_ENTRY
 
 
 def random_conzono(rng, n, degeneracy):

@@ -25,9 +25,10 @@ from zonokit import (
     zonotope_halfspace_intersection,
     zonotope_hyperplane_intersects,
 )
-from zonokit.halfspaces import DIV_TOL, _raw_cut, _solved_ranges, refine_certifies_empty
+from zonokit.halfspaces import _raw_cut, _solved_ranges, refine_certifies_empty
 from zonokit.io import read_scenario
-from zonokit.numerics import INFEASIBLE, OPTIMAL, LinearProgram, NumericalError, solve_lp
+from zonokit.numerics import (INFEASIBLE, OPTIMAL, ZERO_ENTRY, LinearProgram, NumericalError,
+                              solve_lp)
 from zonokit.reduction import _canonical
 from zonokit.sets import TOL
 from zonokit import halfspaces, numerics, oracle
@@ -159,7 +160,7 @@ def _scalar_refine(Z, iterations=2, pad=1e-12):
     for _ in range(iterations):
         for i in range(Z.n_c):
             row = Z.A[i]
-            nz = np.flatnonzero(np.abs(row) > DIV_TOL)
+            nz = np.flatnonzero(np.abs(row) > ZERO_ENTRY)
             if nz.size == 0:
                 continue
             t1 = row[nz] * E.lo[nz]
@@ -225,7 +226,7 @@ def _kernel_cases():
         Zc = make_conzono(rng, 2, 6, 3)
         A = Zc.A.copy()
         A[rng.random(A.shape) < 0.3] = 0.0  # exact zeros
-        A[rng.random(A.shape) < 0.1] = 1e-13  # below DIV_TOL
+        A[rng.random(A.shape) < 0.1] = 1e-13  # below ZERO_ENTRY
         A[rng.random(A.shape) < 0.3] *= -1.0  # sign flips
         if k % 5 == 0:
             A[k % 3] = 0.0  # all-zero row

@@ -243,3 +243,32 @@ def test_private_attributes_are_read_only_off_self_or_cls():
              and not (isinstance(node.value, ast.Name)
                       and node.value.id in ("self", "cls"))]
     assert not reads, f"private attributes read off other objects at {reads}"
+
+
+# A constraint entry of at most numerics.ZERO_ENTRY reads as zero, as in
+# the LP backend; a second small literal in a zero test would bring back
+# a second reading.  The oracle keeps its own tolerances on purpose.
+ZERO_READERS = {"numerics.py", "oracle.py"}
+
+
+def _calls_abs(node):
+    return any(isinstance(sub, ast.Call) and "abs" in (
+        getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+        for sub in ast.walk(node))
+
+
+def _small_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0.0 < node.value < 1e-6)
+
+
+def test_only_numerics_reads_small_abs_values_against_literals():
+    found = [f"{module}:{node.lineno}"
+             for module in MODULES if module not in ZERO_READERS
+             for node in ast.walk(_parse(module))
+             if isinstance(node, ast.Compare)
+             and any(map(_calls_abs, [node.left, *node.comparators]))
+             and any(map(_small_literal, [node.left, *node.comparators]))]
+    assert not found, f"abs(...) compared with a literal below 1e-6 at {found}"

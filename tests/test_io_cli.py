@@ -26,6 +26,7 @@ from zonokit.io import (
     SchemaError,
     read_scenario,
     read_set,
+    scenario_to_document,
     write_scenario,
     write_set,
 )
@@ -63,6 +64,17 @@ def test_scenario_roundtrip(tmp_path, vehicle_scenario):
     assert np.allclose(back.x_star, vehicle_scenario.x_star)
     assert back.N == vehicle_scenario.N
     assert np.allclose(back.x_star_minus, vehicle_scenario.x_star_minus)
+
+
+# JSON true loads as a bool, which Python counts as the int 1.
+@pytest.mark.parametrize("N", [True, 0, 2.5, "3"])
+def test_scenario_horizon_must_be_a_positive_integer(tmp_path, vehicle_scenario, N):
+    doc = scenario_to_document(vehicle_scenario)
+    doc["N"] = N
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="field 'N' must be a positive integer"):
+        read_scenario(path)
 
 
 @pytest.mark.parametrize("doc", [

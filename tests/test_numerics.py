@@ -10,8 +10,11 @@ from zonokit import (
     ConstrainedZonotope,
     Zonotope,
     inner_scale,
+    interval_refine,
+    is_empty,
     numerics,
     pontryagin_onestep,
+    support,
 )
 from zonokit.cli import USAGE_ERROR, main
 from zonokit.io import write_set
@@ -21,6 +24,7 @@ from zonokit.numerics import (
     SCALING_NORMS,
     SPARSE_ENTRIES,
     UNBOUNDED,
+    ZERO_ENTRY,
     LinearProgram,
     LpBuilder,
     NumericalError,
@@ -97,8 +101,9 @@ def _gauss_jordan_per_row(A, b, tol=1e-9):
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float).reshape(-1)
     m, n = A.shape
+    A[np.abs(A) <= ZERO_ENTRY] *= 0.0
     col_perm = np.arange(n)
-    thresh = tol * max(np.abs(A).max(initial=0.0), 1e-300)
+    thresh = max(tol * np.abs(A).max(initial=0.0), ZERO_ENTRY)
     rank = 0
     for k in range(min(m, n)):
         sub = np.abs(A[k:, k:])
@@ -195,6 +200,60 @@ def test_gauss_jordan_flags_inconsistency():
     assert ok["zero_rows"]
 
 
+def _planted_twins(rng):
+    """A random constrained set with exact zeros in A, and its twin whose
+    zeros are replaced by entries of magnitude at most ZERO_ENTRY.  Some
+    twins gain a row of such entries (b = 0 there); some sets are empty."""
+    n_g = int(rng.integers(3, 8))
+    n_c = int(rng.integers(1, n_g))
+    A = rng.normal(size=(n_c, n_g)) * (rng.random((n_c, n_g)) < 0.6)
+    b = A @ rng.uniform(-0.8, 0.8, n_g) + (2.0 * rng.normal(size=n_c)
+                                           if rng.random() < 0.2 else 0.0)
+    if rng.random() < 0.4:
+        A, b = np.vstack([A, np.zeros(n_g)]), np.append(b, 0.0)
+    tiny = ZERO_ENTRY * rng.uniform(-1.0, 1.0, A.shape)
+    tiny[rng.random(A.shape) < 0.2] = ZERO_ENTRY  # the edge itself
+    planted = np.where(A == 0.0, tiny, A)
+    G, c = rng.normal(size=(2, n_g)), rng.normal(size=2)
+    return ConstrainedZonotope(c, G, A, b), ConstrainedZonotope(c, G, planted, b)
+
+
+def test_entries_up_to_zero_entry_read_as_zeros_in_every_layer():
+    """Gauss-Jordan, interval refinement and the LP layer read a planted
+    entry of at most ZERO_ENTRY as the zero it replaced."""
+    rng = np.random.default_rng(30)
+    empty = 0
+    for _ in range(60):
+        Z, P = _planted_twins(rng)
+        _, _, info = gauss_jordan_full_pivot(Z.A, Z.b)
+        _, _, got = gauss_jordan_full_pivot(P.A, P.b)
+        assert got["rank"] == info["rank"]
+        assert np.array_equal(got["col_perm"], info["col_perm"])
+        assert got["inconsistent_rows"] == info["inconsistent_rows"]
+        for I, J in zip(interval_refine(Z), interval_refine(P)):
+            assert np.array_equal(I.lo, J.lo) and np.array_equal(I.hi, J.hi)
+        assert is_empty(P) == is_empty(Z)
+        if is_empty(Z):
+            empty += 1
+            continue
+        D = rng.normal(size=(4, 2))
+        assert np.array_equal(support(P, D), support(Z, D))
+    assert 5 <= empty <= 55
+
+
+def test_rounding_level_rows_and_residues_read_as_zeros():
+    """Eliminating [1, -1] grows [t, t] to [0, 2t], above ZERO_ENTRY for
+    t > 5e-10: the row must be read as zeros before elimination, as the
+    LP backend reads it, or xi = 0 would be imposed.  A residue of at
+    most ZERO_ENTRY is a zero as well, also where every |a_ij| < 1."""
+    for t in (6e-10, ZERO_ENTRY):
+        _, _, info = gauss_jordan_full_pivot([[1.0, -1.0], [t, t]], [0.0, 0.0])
+        assert info["rank"] == 1
+    _, _, info = gauss_jordan_full_pivot([[1e-3, 1e-3], [1e-3, 1e-3 + 5e-10]],
+                                         [0.0, 0.0])
+    assert info["rank"] == 1
+
+
 # Full row rank (wide and square), rank deficient (consistent), no
 # constraints at all, and a pinned coefficient (xi_0 = 0.3).
 COEFFICIENT_SYSTEMS = [
@@ -219,6 +278,11 @@ def test_nullspace_basis():
     # The pinned coefficient's row of T is zero, so its facets are vacuous.
     _, T, _, _, live = _coefficient_polytope(*COEFFICIENT_SYSTEMS[-1])
     assert not T[0].any() and not live[0] and not live[3]
+    # So are the facets of a row of T with no entry above ZERO_ENTRY.
+    _, T, _, _, live = _coefficient_polytope(np.array([[2.0, 1.5e-9, 0.0]]),
+                                             np.zeros(1))
+    assert 0.0 < np.abs(T[0]).max() <= ZERO_ENTRY
+    assert not live[0] and not live[3] and live[1:3].all()
 
 
 def test_particular_solution():

@@ -16,7 +16,8 @@ from zonokit import (
     support,
 )
 from zonokit import reduction
-from zonokit.halfspaces import DIV_TOL, _solved_ranges, interval_refine
+from zonokit.halfspaces import _solved_ranges, interval_refine
+from zonokit.numerics import ZERO_ENTRY
 from zonokit.reach import wayset, wayset_reduce
 from zonokit.reduction import (
     CONTAIN_TOL,
@@ -402,7 +403,7 @@ def _substituted_pair(work, tally):
     def unit_cols(r, E):
         with np.errstate(divide="ignore", invalid="ignore"):
             lo, hi = _solved_ranges(A[r], bb[r], E.lo, E.hi)
-        return np.flatnonzero((np.abs(A[r]) > DIV_TOL)
+        return np.flatnonzero((np.abs(A[r]) > ZERO_ENTRY)
                               & (lo >= -1.0 - CONTAIN_TOL)
                               & (hi <= 1.0 + CONTAIN_TOL))
 
