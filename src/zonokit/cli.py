@@ -26,7 +26,7 @@ from .halfspaces import (
 from .hull import convex_hull
 from .invariance import AutonomousSystem, mrpi_iterative, rpi_onestep
 from .io import SchemaError, read_scenario, read_set, write_set
-from .numerics import SCALING_NORMS, NumericalError
+from .numerics import FEAS_TOL, SCALING_NORMS, NumericalError
 from . import oracle
 from .pontryagin import pontryagin_iterative, pontryagin_onestep
 from .reach import WAYSET_STRATEGIES, wayset, wayset_reduce
@@ -189,11 +189,11 @@ def _intersect(args):
     if args.R is not None and args.R.shape[0] != b.n:
         raise ValueError(
             f"R has {args.R.shape[0]} rows but b lives in R^{b.n}")
-    # {z : R z in b}; a zero row of H R reads 0 <= f
+    # {z : R z in b}; a zero row of H R reads 0 <= f, up to FEAS_TOL
     H = b.H if args.R is None else b.H @ args.R
     live = np.abs(H).sum(axis=1) > 0.0
     result = intersect_hpolytope(a, HPolytope(H[live], b.f[live]))
-    return _empty_cut(result) if np.any(b.f[~live] < 0.0) else result
+    return _empty_cut(result) if np.any(b.f[~live] < -FEAS_TOL) else result
 
 
 def _halfspace(args):

@@ -27,6 +27,7 @@ import scipy.linalg
 from .halfspaces import interval_refine
 from .reduction import _canonical, eliminate_pair
 from .numerics import (
+    FEAS_TOL,
     ZERO_ENTRY,
     LpBuilder,
     NumericalError,
@@ -311,7 +312,7 @@ def _ah_form(Z):
     if is_empty(Z):
         raise EmptySetError("cannot convert an empty set")
     s, T, H, f, live = _coefficient_polytope(Z.A, Z.b)
-    if (f[~live] < -1e-9).any():
+    if (f[~live] < -FEAS_TOL).any():
         # A zero direction with a negative offset means some |xi_k| > 1
         # is forced, contradicting the emptiness check above.
         raise NumericalError("inconsistent vacuous facet; set borderline empty")

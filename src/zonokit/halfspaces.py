@@ -14,7 +14,8 @@ halfspace before a cut is folded into the representation:
 
 import numpy as np
 
-from .numerics import LinearProgram, solve_lp, INFEASIBLE, UNBOUNDED, ZERO_ENTRY
+from .numerics import (
+    FEAS_TOL, INFEASIBLE, UNBOUNDED, ZERO_ENTRY, LinearProgram, solve_lp)
 from .sets import (
     ConstrainedZonotope,
     EmptySetError,
@@ -22,14 +23,9 @@ from .sets import (
     Zonotope,
     _lp_support,
     support,
-    TOL,
 )
 
 STRATEGIES = ("ZH", "LP", "IA")
-
-# Outward padding of every refined interval, so floating-point rounding
-# cannot manufacture a spurious emptiness certificate.
-PAD = 1e-12
 
 
 class IntervalVector:
@@ -191,8 +187,9 @@ def interval_refine(Z, iterations=2):
         E_j <- E_j  intersect  R_j.
 
     Two sweeps usually suffice; more can help heavily coupled systems.
-    Computed intervals are padded outward by ``PAD`` so floating-point
-    rounding cannot manufacture a spurious emptiness certificate.  If
+    Computed intervals are padded outward by ``FEAS_TOL``, the slack the
+    LPs allow a row, so neither rounding nor an offset the LPs read as
+    feasible can manufacture an emptiness certificate.  If
     any E_j becomes empty the set is certifiably empty.
 
     Each row's nonzero columns and entries are gathered once.  The first
@@ -226,8 +223,8 @@ def interval_refine(Z, iterations=2):
             # Each entry is solved against E as it was before this row.
             e_lo, e_hi = E.lo[nz], E.hi[nz]
             lo, hi = _solved_ranges(a, rhs, e_lo, e_hi)
-            r_lo = np.maximum(R.lo[nz], lo - PAD)
-            r_hi = np.minimum(R.hi[nz], hi + PAD)
+            r_lo = np.maximum(R.lo[nz], lo - FEAS_TOL)
+            r_hi = np.minimum(R.hi[nz], hi + FEAS_TOL)
             R.lo[nz], R.hi[nz] = r_lo, r_hi
             new_lo = np.maximum(e_lo, r_lo)
             new_hi = np.minimum(e_hi, r_hi)
@@ -269,7 +266,7 @@ def conzono_in_halfspace(Z, hs, strategy="LP"):
 
     if strategy == "LP":
         try:
-            return _lp_support(Z, hs.h) <= hs.f + TOL
+            return _lp_support(Z, hs.h) <= hs.f + FEAS_TOL
         except EmptySetError:
             return True  # the empty set is inside everything
 
@@ -333,7 +330,7 @@ def hpolytope_to_conzono(P):
         # Support of the current intersection in the row direction; skip
         # halfspaces that do not strictly cut.
         reach = support(out, hs.h)
-        if reach <= hs.f + TOL:
+        if reach <= hs.f + FEAS_TOL:
             continue
         out = _fold(out, hs)
     return out

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .containment import ScalingResult, _zonotope_certificate
-from .numerics import LpBuilder, NumericalError, optimize_scaling
+from .numerics import FEAS_TOL, LpBuilder, NumericalError, optimize_scaling
 from .sets import (
     HPolytope,
     Zonotope,
@@ -153,8 +153,8 @@ def _support_ratio(Z, P):
     """Smallest alpha with Z inside alpha * {x : P.H x <= P.f} (P convex,
     containing the origin); inf when some row makes it impossible."""
     reach = support(Z, P.H)
-    slack = P.f > 1e-12
-    if np.any(reach[~slack] > 1e-12):
+    slack = P.f > FEAS_TOL
+    if np.any(reach[~slack] > FEAS_TOL):
         return np.inf
     return float(np.max(reach[slack] / P.f[slack], initial=0.0))
 

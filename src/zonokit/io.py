@@ -171,6 +171,9 @@ def document_to_scenario(doc):
     if "x_star_minus" in doc:
         x_star_minus = _array(doc, "x_star_minus", 1, "scenario")
     system = LinearSystem(A, B, X, U)  # dimension errors propagate
+    for name, x in (("x_star", x_star), ("x_star_minus", x_star_minus)):
+        if x is not None and x.size != system.n:
+            raise SchemaError(f"field '{name}' must have {system.n} entries")
     return ScenarioDocument(system, x_star, N, x_star_minus,
                             name=doc.get("name"))
 

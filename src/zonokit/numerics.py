@@ -34,6 +34,12 @@ UNBOUNDED = "unbounded"
 # Feasibility tolerance used when sanity-checking solver output.
 LP_TOL = 1e-6
 
+# The one reading of a feasible offset, HiGHS's in every library LP (its
+# primal_feasibility_tolerance): a row a @ x <= f holds when
+# a @ x <= f + FEAS_TOL.  Screens, refinement and pair search read the
+# same slack, so their verdicts agree with the LPs'.
+FEAS_TOL = 1e-9
+
 # Constraint entries (rows of A_ub and A_eq times variables) from which
 # solve_lp hands HiGHS CSR arrays instead of dense ones.
 SPARSE_ENTRIES = 2 ** 16
@@ -109,7 +115,7 @@ def solve_lp(p):
     if n == 0:
         # Degenerate but legal: no variables. Feasible iff the constant
         # constraints hold.
-        feas = (p.b_ub >= -LP_TOL).all() and (np.abs(p.b_eq) <= LP_TOL).all()
+        feas = (p.b_ub >= -FEAS_TOL).all() and (np.abs(p.b_eq) <= FEAS_TOL).all()
         return LpOutcome(OPTIMAL, np.zeros(0), 0.0) if feas else LpOutcome(INFEASIBLE)
 
     c = -p.objective if p.maximize else p.objective
@@ -127,6 +133,7 @@ def solve_lp(p):
             b_eq=p.b_eq if m_eq else None,
             bounds=bounds,
             method="highs",
+            options={"primal_feasibility_tolerance": FEAS_TOL},
         )
     except Exception as exc:  # solver blew up outright
         raise NumericalError(f"LP backend raised: {exc}") from exc

@@ -9,7 +9,7 @@ generator template.
 import numpy as np
 
 from .containment import ScalingResult, _zonotope_certificate
-from .numerics import LpBuilder, optimize_scaling
+from .numerics import FEAS_TOL, LpBuilder, optimize_scaling
 from .sets import (
     EmptySetError,
     Zonotope,
@@ -131,5 +131,5 @@ def _maximize_template(b, Gt, norm):
     # remaining slack on total scale, which picks a full-bodied optimum
     # over a degenerate one.
     if best_row is not None:
-        b.le({"phi": -best_row[None, :]}, np.array([1e-9 - best_value]))
+        b.le({"phi": -best_row[None, :]}, np.array([FEAS_TOL - best_value]))
     return optimize_scaling(b, "1", True)

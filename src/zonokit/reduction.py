@@ -18,17 +18,13 @@ Two mechanisms:
 import numpy as np
 
 from .halfspaces import _solved_ranges, interval_refine
-from .numerics import ZERO_ENTRY, gauss_jordan_full_pivot
+from .numerics import FEAS_TOL, ZERO_ENTRY, gauss_jordan_full_pivot
 from .sets import _make
 
 # Parallelism tolerance: || g_i / |g_i| -+ g_j / |g_j| || <= EPS_PARALLEL,
 # about the angle between the columns.  A cosine test would lose it to
 # cancellation in 1 - cos.
 EPS_PARALLEL = 1e-10
-
-# Slack allowed when testing R_{r,c} inside [-1, 1]; keeps exactly-tight
-# eliminations (interval touching +-1) from being rejected for roundoff.
-CONTAIN_TOL = 1e-9
 
 
 def merge_parallel_generators(Z):
@@ -105,10 +101,10 @@ def _redundant_pair(work, E):
     A, bb = work.A, work.b
     with np.errstate(divide="ignore", invalid="ignore"):
         lo, hi = _solved_ranges(A, bb, E.lo, E.hi)
-    # (r, c) whose solved range R_rc lies in [-1, 1] (the cheap necessary
-    # test), largest |a_rc| first, ties in descending (r, c)
+    # (r, c) whose solved range R_rc lies in [-1, 1] up to FEAS_TOL (the
+    # cheap necessary test), largest |a_rc| first, ties in descending (r, c)
     rs, cs = np.nonzero((np.abs(A) > ZERO_ENTRY)
-                        & (lo >= -1.0 - CONTAIN_TOL) & (hi <= 1.0 + CONTAIN_TOL))
+                        & (lo >= -1.0 - FEAS_TOL) & (hi <= 1.0 + FEAS_TOL))
     order = np.argsort(np.abs(A[rs, cs]), kind="stable")[::-1]
     for r, c in zip(rs[order], cs[order]):
         out = eliminate_pair(work, r, c)
@@ -119,7 +115,7 @@ def _redundant_pair(work, E):
         with np.errstate(divide="ignore", invalid="ignore"):
             lo, hi = _solved_ranges(A[r], bb[r], np.insert(E_out.lo, c, -1.0),
                                     np.insert(E_out.hi, c, 1.0))
-        if lo[c] >= -1.0 - CONTAIN_TOL and hi[c] <= 1.0 + CONTAIN_TOL:
+        if lo[c] >= -1.0 - FEAS_TOL and hi[c] <= 1.0 + FEAS_TOL:
             return out, E_out
     return None
 

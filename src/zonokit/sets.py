@@ -14,9 +14,6 @@ import numpy as np
 
 from .numerics import LinearProgram, _optimum
 
-# Absolute tolerance for numerical comparisons throughout the package.
-TOL = 1e-9
-
 
 class EmptySetError(ValueError):
     """An operation received (or would have to return) an empty set where
@@ -304,11 +301,8 @@ def _coefficient_lp(Z, objective=None):
     """Maximize ``objective @ xi`` over Z's coefficients
     {A xi = b, ||xi||_inf <= 1} (feasibility only when None).
 
-    Returns an optimal xi, or None when Z is empty.  With no generators
-    the rows are constants, judged at TOL.
+    Returns an optimal xi, or None when Z is empty.
     """
-    if Z.n_g == 0:
-        return np.zeros(0) if (np.abs(Z.b) <= TOL).all() else None
     return _optimum(LinearProgram(
         np.zeros(Z.n_g) if objective is None else objective,
         a_eq=Z.A, b_eq=Z.b, lo=-np.ones(Z.n_g), hi=np.ones(Z.n_g), maximize=True))

@@ -40,8 +40,14 @@ def spread_directions(n, count):
 
 def make_no_generators(b):
     """Set with n_g = 0 and n_c = 2 at c = (1, -2): the point c when
-    |b| <= TOL, else empty."""
+    |b| <= numerics.FEAS_TOL, else empty."""
     return ConstrainedZonotope([1.0, -2.0], np.zeros((2, 0)), np.zeros((2, 0)), b)
+
+
+def borderline_square(delta):
+    """The unit square with the row xi_1 = 1 + delta: a segment when
+    delta <= numerics.FEAS_TOL, else empty."""
+    return ConstrainedZonotope([0.0, 0.0], np.eye(2), [[1.0, 0.0]], [1.0 + delta])
 
 
 # Generators for which imposing xi_1 = xi_2 shrinks the set.
@@ -73,6 +79,9 @@ DEGENERATE = {
         [0.0, 0.0], ROUNDING_G, [[1e-12, -1e-12, 0.0, 0.0]], [0.0]),
     "rounding-level offset": ConstrainedZonotope(
         [0.0, 0.0], ROUNDING_G, [[1e-16, 0.0, 0.0, 0.0]], [1e-12]),
+    # xi_1 = 1 + 5e-9 misses the unit box by more than numerics.FEAS_TOL,
+    # so the unit square with this row is empty in every layer.
+    "borderline offset": borderline_square(5e-9),
 }
 
 

@@ -45,9 +45,8 @@ from zonokit.containment import (
     ah_containment_residual,
     zonotope_containment_residual,
 )
-from zonokit.numerics import SCALING_NORMS
+from zonokit.numerics import FEAS_TOL, SCALING_NORMS
 from zonokit.reach import WAYSET_STRATEGIES
-from zonokit.sets import TOL
 from zonokit import oracle
 
 from conftest import DEGENERATE
@@ -98,7 +97,7 @@ def test_lp_predicates_on_degenerate_sets(kind):
                 if verdict:
                     assert top <= f + BAND
             if abs(top - f) > BAND:
-                assert conzono_in_halfspace(Z, hs, "LP") == (top <= f + TOL)
+                assert conzono_in_halfspace(Z, hs, "LP") == (top <= f + FEAS_TOL)
 
     if empty:
         with pytest.raises((EmptySetError, ValueError)):
@@ -243,7 +242,7 @@ def test_halfspace_cuts_on_degenerate_sets(kind):
                             oracle._support_point(Z, h)[1],
                             oracle._support_point(Z, -h)[1]])
     for name, P in polytopes.items():
-        kept = points[(points @ P.H.T <= P.f + TOL).all(axis=1)]
+        kept = points[(points @ P.H.T <= P.f + FEAS_TOL).all(axis=1)]
         for strategy in ("ZH", "LP", "IA", "GI"):
             cut = intersect_hpolytope(Z, P, strategy)
             assert (oracle._sup_distances(cut, kept) <= BAND).all(), \

@@ -27,10 +27,9 @@ from zonokit import (
 )
 from zonokit.halfspaces import _raw_cut, _solved_ranges, refine_certifies_empty
 from zonokit.io import read_scenario
-from zonokit.numerics import (INFEASIBLE, OPTIMAL, ZERO_ENTRY, LinearProgram, NumericalError,
-                              solve_lp)
+from zonokit.numerics import (FEAS_TOL, INFEASIBLE, OPTIMAL, ZERO_ENTRY, LinearProgram,
+                              NumericalError, solve_lp)
 from zonokit.reduction import _canonical
-from zonokit.sets import TOL
 from zonokit import halfspaces, numerics, oracle
 
 from conftest import FIXTURES, make_conzono, make_no_generators, make_zonotope
@@ -153,7 +152,7 @@ class TestIntervalRefine:
             interval_refine(Z2, iterations=0)
 
 
-def _scalar_refine(Z, iterations=2, pad=1e-12):
+def _scalar_refine(Z, iterations=2, pad=FEAS_TOL):
     """Entry-by-entry refinement loop, the reference for the array kernel."""
     E = IntervalVector.unit(Z.n_g)
     R = IntervalVector.reals(Z.n_g)
@@ -260,7 +259,8 @@ def test_refinement_reruns_only_rows_whose_columns_moved(monkeypatch):
     E, _ = interval_refine(PARTLY_FIXED, iterations=2)
     assert [a.size for a in runs] == [2, 2, 2, 2, 2]  # rows 0, 1, 2, 1, 2
     assert E.lo[0] == -1.0 and E.hi[1] == 1.0
-    assert 0.4 - 1e-9 < E.lo[2] and E.hi[3] < 0.8 + 1e-9
+    # pad-free ends 0.4 and 0.8; the pads add up to at most 2 FEAS_TOL
+    assert 0.4 - 2 * FEAS_TOL <= E.lo[2] and E.hi[3] <= 0.8 + 2 * FEAS_TOL
 
 
 def test_solved_ranges_of_a_stack_match_row_by_row_calls():
@@ -367,7 +367,7 @@ def _two_lp_verdict(Z, hs):
         return True
     if not (out_min.status == out_max.status == OPTIMAL):
         raise NumericalError("support LP failed")
-    return float(hs.h @ Z.c) + out_max.value <= hs.f + TOL
+    return float(hs.h @ Z.c) + out_max.value <= hs.f + FEAS_TOL
 
 
 def test_lp_strategy_solves_one_lp(monkeypatch):

@@ -77,6 +77,18 @@ def test_scenario_horizon_must_be_a_positive_integer(tmp_path, vehicle_scenario,
         read_scenario(path)
 
 
+@pytest.mark.parametrize("field, size", [("x_star", 2), ("x_star_minus", 1)])
+def test_scenario_targets_must_have_the_state_dimension(tmp_path, vehicle_scenario,
+                                                        field, size):
+    doc = scenario_to_document(vehicle_scenario)
+    doc[field] = doc[field][:size]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=f"field '{field}' must have "
+                                          f"{vehicle_scenario.system.n} entries"):
+        read_scenario(path)
+
+
 @pytest.mark.parametrize("doc", [
     {"schema": 1, "kind": "zonotope", "c": [0.0]},              # missing G
     {"schema": 1, "kind": "flat", "c": [0.0], "G": [[1.0]]},    # bad kind
@@ -315,6 +327,10 @@ class TestCli:
         write_set(p, HPolytope(np.eye(2), [-0.5, 0.5]))
         assert self.run("intersect", z, p, "--R", "0,0;0,1", "-o", out) == 0
         assert is_empty(read_set(out))
+        # 0 <= -1e-12 holds within FEAS_TOL, as the LPs read it
+        write_set(p, HPolytope(np.eye(2), [-1e-12, 0.5]))
+        assert self.run("intersect", z, p, "--R", "0,0;0,1", "-o", out) == 0
+        assert not is_empty(read_set(out))
 
     def test_intersect_has_no_ia_passes(self, tmp_path, capsys):
         z = tmp_path / "z.json"

@@ -8,10 +8,15 @@ from scipy.optimize import OptimizeResult, linprog
 
 from zonokit import (
     ConstrainedZonotope,
+    EmptySetError,
+    Halfspace,
     Zonotope,
+    conzono_in_halfspace,
+    conzono_to_ah,
     inner_scale,
     interval_refine,
     is_empty,
+    make_template,
     numerics,
     pontryagin_onestep,
     support,
@@ -19,6 +24,7 @@ from zonokit import (
 from zonokit.cli import USAGE_ERROR, main
 from zonokit.io import write_set
 from zonokit.numerics import (
+    FEAS_TOL,
     INFEASIBLE,
     OPTIMAL,
     SCALING_NORMS,
@@ -35,6 +41,9 @@ from zonokit.numerics import (
     solve_lp,
 )
 from zonokit.containment import _coefficient_polytope, _zonotope_certificate
+from zonokit.halfspaces import refine_certifies_empty
+
+from conftest import borderline_square
 
 
 class TestSolveLp:
@@ -252,6 +261,25 @@ def test_rounding_level_rows_and_residues_read_as_zeros():
     _, _, info = gauss_jordan_full_pivot([[1e-3, 1e-3], [1e-3, 1e-3 + 5e-10]],
                                          [0.0, 0.0])
     assert info["rank"] == 1
+
+
+@pytest.mark.parametrize("delta", [5e-10, 2e-9, 5e-9, 5e-8])
+def test_feasible_offsets_read_alike_in_every_layer(delta):
+    """An offset beyond the unit box by delta is feasible in the LPs, the
+    screens, refinement and the containment programs exactly when
+    delta <= FEAS_TOL."""
+    Z = borderline_square(delta)
+    empty = delta > FEAS_TOL
+    assert is_empty(Z) == empty
+    assert refine_certifies_empty(Z) == empty
+    for strategy in ("IA", "LP"):
+        assert conzono_in_halfspace(Z, Halfspace([1.0, 0.0], 0.0), strategy) == empty
+    for convert in (conzono_to_ah, lambda Z: inner_scale(Z, make_template(Z, "box"))):
+        if empty:
+            with pytest.raises(EmptySetError):
+                convert(Z)
+        else:
+            convert(Z)
 
 
 # Full row rank (wide and square), rank deficient (consistent), no

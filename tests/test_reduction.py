@@ -17,10 +17,9 @@ from zonokit import (
 )
 from zonokit import reduction
 from zonokit.halfspaces import _solved_ranges, interval_refine
-from zonokit.numerics import ZERO_ENTRY
+from zonokit.numerics import FEAS_TOL, ZERO_ENTRY
 from zonokit.reach import wayset, wayset_reduce
 from zonokit.reduction import (
-    CONTAIN_TOL,
     _canonical,
     eliminate_pair,
     merge_parallel_generators,
@@ -404,8 +403,8 @@ def _substituted_pair(work, tally):
         with np.errstate(divide="ignore", invalid="ignore"):
             lo, hi = _solved_ranges(A[r], bb[r], E.lo, E.hi)
         return np.flatnonzero((np.abs(A[r]) > ZERO_ENTRY)
-                              & (lo >= -1.0 - CONTAIN_TOL)
-                              & (hi <= 1.0 + CONTAIN_TOL))
+                              & (lo >= -1.0 - FEAS_TOL)
+                              & (hi <= 1.0 + FEAS_TOL))
 
     candidates = []
     for r in range(A.shape[0]):
