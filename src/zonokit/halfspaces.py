@@ -3,13 +3,13 @@
 Three detection strategies decide whether a set already lies inside a
 halfspace before a cut is folded into the representation:
 
-* ``ZH`` -- algebraic hyperplane-crossing test on the parent zonotope
-  (exact for zonotopes, conservative for constrained zonotopes),
+* ``ZH`` -- the parent zonotope's window on the cut, read at
+  ``FEAS_TOL`` (exact for zonotopes, conservative for constrained ones),
 * ``LP`` -- one support LP over the constrained coefficients (exact),
 * ``IA`` -- interval refinement of the coefficient constraints of the
   raw cut by the complement halfspace (:func:`_raw_cut`, which is not a
-  valid set when its window width d_m < 0; plain zonotopes use the
-  canonical fold); a sufficient emptiness certificate only.
+  valid set when its window width d_m < 0); a sufficient emptiness
+  certificate only.  Plain zonotopes are judged by their window.
 """
 
 import numpy as np
@@ -86,34 +86,37 @@ def _empty_cut(Z):
     return _append_row(Z, np.concatenate([np.zeros(Z.n_g), [1.0]]), 2.0)
 
 
+def _window(Z, hs):
+    """The parent zonotope's window on the cut h @ x <= f: the offset
+    f - h @ c and the half-width sum_i |h @ g_i|."""
+    return hs.f - hs.h @ Z.c, np.abs(hs.h @ Z.G).sum()
+
+
 def _fold(Z, hs):
     """Append the halfspace cut: one extra generator and one constraint.
 
     With d_m = f - h @ c + sum|h @ g_i| (the slack between the cut and
     the far face), the new row reads  [h @ G, d_m / 2] xi = f - h @ c - d_m/2.
 
-    A negative d_m means even the parent zonotope lies strictly beyond
-    the cut, so the intersection is empty; the naive row would then
-    describe the wrong window, so the cut is replaced by an
+    d_m < -``FEAS_TOL`` means even the parent lies beyond the cut by more
+    than a feasible offset, so the intersection is empty and the naive
+    row would describe the wrong window: the cut is replaced by an
     unsatisfiable constraint (xi_new = 2) with the same size bump.
     """
-    if hs.f - hs.h @ Z.c + np.abs(hs.h @ Z.G).sum() < 0.0:
+    offset, width = _window(Z, hs)
+    if offset + width < -FEAS_TOL:
         return _empty_cut(Z)
     return _raw_cut(Z, hs)
 
 
 def _raw_cut(Z, hs):
-    """Like :func:`_fold` but keeps the window row even at negative width.
-
-    Only used as a refinement probe by the IA containment strategy,
-    which is defined to judge from interval arithmetic alone: replacing
-    a negative-width row with the unsatisfiable marker would smuggle the
-    parent-support test (the ZH strategy) into its verdict.  Not a valid
-    set construction on its own.
-    """
-    d_m = hs.f - hs.h @ Z.c + np.abs(hs.h @ Z.G).sum()
-    return _append_row(Z, np.concatenate([hs.h @ Z.G, [d_m / 2.0]]),
-                       hs.f - hs.h @ Z.c - d_m / 2.0)
+    """Like :func:`_fold` but keeps the window row at any width: the IA
+    strategy's probe on a constrained set, judged by interval arithmetic
+    alone, which the unsatisfiable marker would turn into the ZH test.
+    Not a valid set construction on its own."""
+    offset, width = _window(Z, hs)
+    half = (offset + width) / 2.0
+    return _append_row(Z, np.concatenate([hs.h @ Z.G, [half]]), offset - half)
 
 
 def zonotope_halfspace_intersection(Z, hs):
@@ -248,10 +251,11 @@ def refine_certifies_empty(Z, iterations=2):
 def conzono_in_halfspace(Z, hs, strategy="LP"):
     """Whether Z provably lies inside the halfspace h @ x <= f.
 
-    A True answer always guarantees containment.  The LP strategy is
-    exact and solves one LP, the support max h @ x; ZH is exact only
-    for plain zonotopes (it tests the parent zonotope); IA is a
-    sufficient certificate that may return False for contained sets.
+    A True answer always guarantees containment.  LP is exact and solves
+    one LP, the support max h @ x; ZH reads the parent zonotope's window
+    at ``FEAS_TOL``, h @ c + sum|h @ g_i| <= f + FEAS_TOL (the LP's
+    reading, exact for plain zonotopes); IA is a sufficient certificate
+    that may return False for contained sets.
     """
     strategy = str(strategy).upper()
     if strategy not in STRATEGIES:
@@ -259,28 +263,21 @@ def conzono_in_halfspace(Z, hs, strategy="LP"):
     if hs.h.size != Z.n:
         raise ValueError("halfspace dimension mismatch")
 
-    if strategy == "ZH":
-        if zonotope_hyperplane_intersects(Z.parent_zonotope(), hs):
-            return False
-        return float(hs.f - hs.h @ Z.c) > 0.0
-
     if strategy == "LP":
         try:
             return _lp_support(Z, hs.h) <= hs.f + FEAS_TOL
         except EmptySetError:
             return True  # the empty set is inside everything
 
-    # IA: Z inside H- iff Z cut with the complement H+ is empty.  For a
-    # plain zonotope the window width of that cut decides exactly, so the
-    # canonical fold is fine; for a constrained set the verdict must come
-    # from refining the coefficient constraints themselves (the raw cut),
-    # otherwise the check degenerates into the parent-support test.
-    # Sound either way: a nonempty complement has nonnegative window
-    # width, hence a feasible raw system that refinement cannot reject.
-    complement = Halfspace(-hs.h, -hs.f)
-    if Z.n_c == 0:
-        return refine_certifies_empty(_fold(Z, complement))
-    return refine_certifies_empty(_raw_cut(Z, complement))
+    if strategy == "ZH" or Z.n_c == 0:  # the window decides a plain set
+        offset, width = _window(Z, hs)
+        return bool(width <= offset + FEAS_TOL)
+
+    # IA: Z inside H- iff Z cut with the complement H+ is empty, judged by
+    # refining the raw cut's coefficient constraints alone.  Sound: a
+    # nonempty complement has nonnegative window width, hence a feasible
+    # raw system that refinement cannot reject.
+    return refine_certifies_empty(_raw_cut(Z, Halfspace(-hs.h, -hs.f)))
 
 
 def intersect_hpolytope(Z, P, strategy="LP"):

@@ -88,7 +88,7 @@ def wayset(sys, x_star, N, strategy="LP", keep_trace=False):
     The strategy chooses how each state-constraint halfspace is
     skipped-or-folded after a backward step:
 
-    * ``ZH`` -- algebraic crossing test on the parent zonotope (cheap;
+    * ``ZH`` -- the parent zonotope's window read at ``FEAS_TOL`` (cheap;
       conservative once constraints exist),
     * ``LP`` -- exact support LP per halfspace,
     * ``IA`` -- interval-refinement certificate per halfspace (cheap,

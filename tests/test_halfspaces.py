@@ -21,11 +21,13 @@ from zonokit import (
     is_empty,
     linear_map,
     minkowski_sum,
+    support,
     wayset,
     zonotope_halfspace_intersection,
     zonotope_hyperplane_intersects,
 )
-from zonokit.halfspaces import _raw_cut, _solved_ranges, refine_certifies_empty
+from zonokit.halfspaces import (STRATEGIES, _raw_cut, _solved_ranges,
+                                refine_certifies_empty)
 from zonokit.io import read_scenario
 from zonokit.numerics import (FEAS_TOL, INFEASIBLE, OPTIMAL, ZERO_ENTRY, LinearProgram,
                               NumericalError, solve_lp)
@@ -354,6 +356,49 @@ class TestContainmentStrategies:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             conzono_in_halfspace(Z2, CUT, "QP")
+
+
+def test_screens_read_a_plain_window_at_feas_tol():
+    """ZH, IA and LP give one verdict on a plain zonotope, with generator
+    scales from 1e-3 to 1e3, for a cut at its support, one ulp either
+    side of it, and 5e-10 and 2e-9 inside it."""
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n, n_g = int(rng.integers(2, 4)), int(rng.integers(1, 6))
+        G = rng.normal(size=(n, n_g)) * 10.0 ** rng.uniform(-3.0, 3.0, n_g)
+        Z = Zonotope(rng.normal(size=n), G)
+        h = rng.normal(size=n)
+        top = support(Z, h)
+        for f, inside in ((top, True), (np.nextafter(top, -np.inf), True),
+                          (np.nextafter(top, np.inf), True),
+                          (top - 5e-10, True), (top - 2e-9, False)):
+            got = {s: conzono_in_halfspace(Z, Halfspace(h, f), s)
+                   for s in STRATEGIES}
+            assert got == dict.fromkeys(STRATEGIES, inside), (f - top, got)
+
+
+def test_zh_on_a_constrained_set_is_the_lp_screen_of_its_parent():
+    rng = np.random.default_rng(13)
+    for k in range(30):
+        Zc = make_conzono(rng, 2 + k % 2, 5, 2)
+        parent = Zc.parent_zonotope()
+        h = rng.normal(size=Zc.n)
+        top = support(parent, h)
+        for f in (top, top - 5e-10, top - 2e-9, support(Zc, h), float(rng.normal())):
+            hs = Halfspace(h, f)
+            assert conzono_in_halfspace(Zc, hs, "ZH") == \
+                conzono_in_halfspace(parent, hs, "LP")
+
+
+@pytest.mark.parametrize("delta, empty", [(5e-10, False), (2e-9, True)])
+def test_a_cut_beyond_a_zonotope_is_empty_only_beyond_feas_tol(delta, empty):
+    """The fold marks a cut empty when the set lies beyond it by more
+    than FEAS_TOL; within it, the LP and refinement keep the face."""
+    for Z, h in ((Zonotope([0.0, 0.0], np.eye(2)), np.array([1.0, 0.0])),
+                 (Z2, CUT.h), (Z2, -CUT.h)):
+        cut = conzono_halfspace_intersection(Z, Halfspace(h, -support(Z, -h) - delta))
+        assert is_empty(cut) == empty
+        assert refine_certifies_empty(cut) == empty
 
 
 def _two_lp_verdict(Z, hs):

@@ -186,6 +186,30 @@ def test_ia_extra_folds_have_exact_points_in_the_box(vehicle_scenario):
     assert (W.n_c, W.n_g) == RAW_SIZES["IA"] == (16, 46)
 
 
+def test_zh_folds_only_cuts_its_parent_window_crosses(vehicle_scenario):
+    """ZH reads the parent zonotope's window as the LP screen reads the
+    parent.  At N = 20 the step-11 parent touches x2 <= 20 exactly; a
+    strict reading folded that vacuous cut into a 40 x 100 raw wayset.
+    The N = 10 raw sizes stay as test_raw_sizes pins them."""
+    doc = vehicle_scenario
+    sys = doc.system
+    input_pre = linear_map(-sys.A_inv @ sys.B, sys.U)
+    Z = Zonotope.singleton(doc.x_star)
+    for _ in range(20):
+        Z = minkowski_sum(linear_map(sys.A_inv, Z), input_pre)
+        for hs in sys.X.halfspaces():
+            skip = conzono_in_halfspace(Z, hs, "ZH")
+            assert skip == conzono_in_halfspace(Z.parent_zonotope(), hs, "LP")
+            if not skip:
+                Z = conzono_halfspace_intersection(Z, hs)
+    W, _ = wayset(sys, doc.x_star, 20, strategy="ZH")
+    for a, b in ((W.c, Z.c), (W.G, Z.G), (W.A, Z.A), (W.b, Z.b)):
+        assert np.array_equal(a, b)
+    assert (W.n_c, W.n_g) == (39, 99)
+    R = wayset_reduce(W)
+    assert (R.n_c, R.n_g) == REDUCED_SIZES_N20["ZH"] == (39, 99)
+
+
 def toy_sys():
     X = HPolytope(np.vstack([np.eye(2), -np.eye(2)]), [10, 10, 10, 10])
     U = Zonotope([0.0], [[0.5]])
