@@ -60,14 +60,14 @@ class IntervalVector:
 def zonotope_hyperplane_intersects(Z, hs):
     """Whether a zonotope touches the hyperplane h @ x = f.
 
-    Algebraic test: |f - h @ c| <= sum_i |h @ g_i|.
+    Algebraic test at ``FEAS_TOL``: |f - h @ c| <= sum_i |h @ g_i| + FEAS_TOL.
     """
     if not isinstance(hs, Halfspace):
         raise TypeError("hs must be a Halfspace")
     if hs.h.size != Z.n:
         raise ValueError("halfspace dimension mismatch")
-    reach = np.abs(hs.h @ Z.G).sum()
-    return bool(abs(hs.f - hs.h @ Z.c) <= reach)
+    offset, width = _window(Z, hs)
+    return bool(abs(offset) <= width + FEAS_TOL)
 
 
 def _append_row(Z, row, rhs):
@@ -122,17 +122,19 @@ def _raw_cut(Z, hs):
 def zonotope_halfspace_intersection(Z, hs):
     """Intersection of a zonotope with a halfspace as a constrained zonotope.
 
-    Requires the hyperplane to actually cross the zonotope (otherwise
-    the intersection is Z itself or empty and no cut is warranted); the
-    caller decides those cases by the sign of f - h @ c.
+    Refuses a cut that the ZH screen calls contained or that :func:`_fold`
+    would mark empty: the intersection is then Z itself or empty, and no
+    cut is warranted.
     """
     if Z.n_c != 0:
         raise ValueError("zonotope_halfspace_intersection needs a zonotope; "
                          "use conzono_halfspace_intersection")
-    if not zonotope_hyperplane_intersects(Z, hs):
-        raise ValueError("hyperplane does not cross the zonotope; the "
+    contained = conzono_in_halfspace(Z, hs, "ZH")  # checks the dimension
+    offset, width = _window(Z, hs)
+    if contained or offset + width < -FEAS_TOL:
+        raise ValueError("the cut does not cross the zonotope; the "
                          "intersection is trivial (Z or empty)")
-    return _fold(Z, hs)
+    return _raw_cut(Z, hs)
 
 
 def conzono_halfspace_intersection(Z, hs):

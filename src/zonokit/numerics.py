@@ -175,8 +175,8 @@ def _optimum(p):
     return out.x
 
 
-# Relative size below which a Gauss-Jordan pivot, or the right-hand side
-# of a zero row, counts as zero.
+# Size, relative to its own row's largest entry, at or below which an
+# entry cannot be a Gauss-Jordan pivot.
 RANK_TOL = 1e-9
 
 # The one reading of a zero constraint entry, HiGHS's (its default
@@ -196,10 +196,10 @@ def gauss_jordan_full_pivot(A, b):
 
     ``info`` also carries ``rank``, ``zero_rows`` (indices of reduced
     rows with no pivot -- rank deficiency), and ``inconsistent_rows``
-    (zero rows whose rhs is nonzero, i.e. an infeasible system).
-    Rank deficiency is reported, never raised.  Entries of A of at most
-    ``ZERO_ENTRY`` = 1e-9 read as zeros, as in the LP backend, so scale
-    rows above that; a pivot exceeds ``ZERO_ENTRY`` and RANK_TOL max|A|.
+    (zero rows whose rhs exceeds ``FEAS_TOL``, as solve_lp reads a constant
+    row).  Rank deficiency is reported, never raised.  Each row is read at
+    its own scale, as in the LP backend: entries of at most ``ZERO_ENTRY``
+    are zeros; a pivot exceeds ZERO_ENTRY and RANK_TOL max|its row of A|.
     """
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float).reshape(-1)
@@ -212,16 +212,18 @@ def gauss_jordan_full_pivot(A, b):
     A[np.abs(A) <= ZERO_ENTRY] *= 0.0  # read as zeros; signed zeros stay
     M = np.column_stack([A, b])
     col_perm = np.arange(n)
-    thresh = max(RANK_TOL * np.abs(A).max(initial=0.0), ZERO_ENTRY)
+    row_tol = np.maximum(RANK_TOL * np.abs(A).max(axis=1, initial=0.0), ZERO_ENTRY)
 
     rank = 0
     for k in range(min(m, n)):
         sub = np.abs(M[k:, k:n])
+        sub[sub <= row_tol[k:, None]] = 0.0  # no pivot at or below its row's tol
         i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        if sub[i, j] <= thresh:
+        if sub[i, j] == 0.0:
             break
         pr, pc = k + i, k + j
         M[[k, pr]] = M[[pr, k]]
+        row_tol[[k, pr]] = row_tol[[pr, k]]
         M[:, [k, pc]] = M[:, [pc, k]]
         col_perm[[k, pc]] = col_perm[[pc, k]]
         M[k] /= M[k, k]
@@ -233,8 +235,7 @@ def gauss_jordan_full_pivot(A, b):
 
     R, d = M[:, :n], M[:, n]
     zero_rows = list(range(rank, m))
-    rhs_scale = max(np.abs(d).max(initial=0.0), 1.0)
-    inconsistent = [r for r in zero_rows if abs(d[r]) > RANK_TOL * rhs_scale]
+    inconsistent = [r for r in zero_rows if abs(d[r]) > FEAS_TOL]
     info = {
         "rank": rank,
         "col_perm": col_perm,

@@ -82,6 +82,16 @@ DEGENERATE = {
     # xi_1 = 1 + 5e-9 misses the unit box by more than numerics.FEAS_TOL,
     # so the unit square with this row is empty in every layer.
     "borderline offset": borderline_square(5e-9),
+    # Each row is read at its own scale, as in HiGHS: the 1e-4 row pins
+    # xi_2 = 0 beside a row at 1e6: the segment between -+(0.5 - 1e-6, 0.3).
+    "disparate row scales": ConstrainedZonotope(
+        [0.0, 0.0], [[1.0, 0.0, 0.5], [0.0, 1.0, 0.3]],
+        [[1e6, 0.0, 1.0], [0.0, 1e-4, 0.0]], [0.0, 0.0]),
+    # Equal rows whose offsets differ by 3e-9, beyond numerics.FEAS_TOL:
+    # empty, although the offsets agree to 1e-9 relative to max|b| = 3.5.
+    "scaled duplicate rows, inconsistent": ConstrainedZonotope(
+        [0.0, 0.0], [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0]],
+        np.ones((2, 4)), [3.5, 3.5 + 3e-9]),
 }
 
 

@@ -17,6 +17,7 @@ from zonokit import (
     inner_scale,
     is_empty,
     make_template,
+    support,
     wayset,
     zonotope_contains,
 )
@@ -27,11 +28,12 @@ from zonokit.containment import (
     ah_containment_residual,
     zonotope_containment_residual,
 )
-from zonokit.numerics import ZERO_ENTRY, LpBuilder, NumericalError, optimize_scaling
+from zonokit.numerics import (
+    ZERO_ENTRY, LinearProgram, LpBuilder, NumericalError, optimize_scaling, solve_lp)
 from zonokit.reduction import _canonical
 from zonokit import oracle
 
-from conftest import DEGENERATE, make_conzono, make_zonotope
+from conftest import DEGENERATE, make_conzono, make_zonotope, spread_directions
 
 
 # Fat cross-shaped 2-D zonotope and a constrained variant reused below.
@@ -128,6 +130,47 @@ def test_rank_deficient_constraints_are_accepted(Z):
     for signs in itertools.product((-1.0, 1.0), repeat=Z.n):
         corner = scaled.c + scaled.G @ np.array(signs)
         assert oracle.membership(Z, corner, tol=1e-7)
+
+
+def _ah_support(P, D):
+    """Supports of an affine polytope in the rows of D, one LP each."""
+    return np.array([d @ P.xbar + solve_lp(LinearProgram(
+        d @ P.X, a_ub=P.P.H, b_ub=P.P.f, maximize=True)).value for d in D])
+
+
+def test_rows_at_disparate_scales_read_as_the_lps_read_them():
+    """Gauss-Jordan reads each constraint row at its own scale, as HiGHS
+    does.  On nonempty sets whose rows are scaled by 10^U(-4, 6), every
+    template builds, the affine-polytope form has the set's supports,
+    and a certificate that the 0.01-box at (0, 0.5) lies inside holds.
+    Where HiGHS breaks down on a support LP itself (a NumericalError,
+    rare at these scales) there is no reference to compare with."""
+    box = Zonotope.box([-0.01, 0.49], [0.01, 0.51])
+    corners = [box.c + box.G @ np.array(s)
+               for s in itertools.product((-1.0, 1.0), repeat=2)]
+    X = conzono_to_ah(box)
+    assert ah_contains(X, conzono_to_ah(DEGENERATE["disparate row scales"])) is None
+    rng = np.random.default_rng(0)
+    D = spread_directions(2, 16)
+    compared = 0
+    for _ in range(40):
+        n_g = int(rng.integers(4, 7))
+        A = rng.normal(size=(int(rng.integers(2, 4)), n_g))
+        A *= 10.0 ** rng.uniform(-4, 6, size=(A.shape[0], 1))
+        Z = ConstrainedZonotope(np.zeros(2), rng.normal(size=(2, n_g)), A,
+                                A @ rng.uniform(-0.8, 0.8, n_g))
+        for kind in ("box", "zonotope", "drop_pair"):
+            make_template(Z, kind)
+        Y = conzono_to_ah(Z)
+        if ah_contains(X, Y) is not None:
+            assert all(oracle.membership(Z, x, tol=1e-7) for x in corners)
+        try:
+            want = support(Z, D)
+        except NumericalError:
+            continue
+        assert np.abs(_ah_support(Y, D) - want).max() <= 1e-6
+        compared += 1
+    assert compared >= 36
 
 
 class TestInnerScale:

@@ -64,6 +64,8 @@ def test_zonotope_halfspace_rejects_trivial_cases():
     Zc = ConstrainedZonotope([0.0, 0.0], np.eye(2), [[1.0, 0.0]], [0.0])
     with pytest.raises(ValueError):
         zonotope_halfspace_intersection(Zc, CUT)
+    with pytest.raises(ValueError, match="dimension"):
+        zonotope_halfspace_intersection(Z2, Halfspace([3.0, 1.0, 0.0], 3.0))
 
 
 def test_cut_membership_semantics():
@@ -399,6 +401,28 @@ def test_a_cut_beyond_a_zonotope_is_empty_only_beyond_feas_tol(delta, empty):
         cut = conzono_halfspace_intersection(Z, Halfspace(h, -support(Z, -h) - delta))
         assert is_empty(cut) == empty
         assert refine_certifies_empty(cut) == empty
+
+
+@pytest.mark.parametrize("f, folds", [(-1.0 - 5e-10, True), (-1.0 - 2e-9, False),
+                                      (1.0 - 5e-10, False), (1.0, False)])
+def test_the_zonotope_cut_refuses_exactly_the_trivial_cuts(f, folds):
+    """On the unit square, the public zonotope cut folds the cut that
+    touches the square within FEAS_TOL, as conzono_halfspace_intersection
+    does, and refuses one that every screen calls contained or that the
+    fold marks empty."""
+    square, hs = Zonotope([0.0, 0.0], np.eye(2)), Halfspace([1.0, 0.0], f)
+    assert zonotope_hyperplane_intersects(square, hs) == (f >= -1.0 - FEAS_TOL)
+    cut = conzono_halfspace_intersection(square, hs)
+    if folds:
+        got = zonotope_halfspace_intersection(square, hs)
+        assert np.array_equal(got.A, cut.A) and np.array_equal(got.b, cut.b)
+        assert not is_empty(got)
+        return
+    with pytest.raises(ValueError, match="does not cross"):
+        zonotope_halfspace_intersection(square, hs)
+    contained = [conzono_in_halfspace(square, hs, s) for s in STRATEGIES]
+    assert contained == [f > 0.0] * len(STRATEGIES)
+    assert is_empty(cut) == (f < 0.0)
 
 
 def _two_lp_verdict(Z, hs):

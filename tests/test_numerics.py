@@ -105,24 +105,28 @@ class TestSolveLp:
 
 def _gauss_jordan_per_row(A, b, tol=1e-9):
     """Reference: full-pivot Gauss-Jordan updating one row at a time,
-    with the same pivot choice and the same skip of rows that are
-    already zero in the pivot column."""
+    with the same pivot choice (the largest entry above its own row's
+    threshold, first in row-major order) and the same skip of rows that
+    are already zero in the pivot column."""
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float).reshape(-1)
     m, n = A.shape
     A[np.abs(A) <= ZERO_ENTRY] *= 0.0
     col_perm = np.arange(n)
-    thresh = max(tol * np.abs(A).max(initial=0.0), ZERO_ENTRY)
+    row_tol = [max(tol * np.abs(row).max(initial=0.0), ZERO_ENTRY) for row in A]
     rank = 0
     for k in range(min(m, n)):
-        sub = np.abs(A[k:, k:])
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        if sub[i, j] <= thresh:
+        pr, pc, best = k, k, 0.0
+        for r in range(k, m):
+            for c in range(k, n):
+                if row_tol[r] < abs(A[r, c]) > best:
+                    pr, pc, best = r, c, abs(A[r, c])
+        if best == 0.0:
             break
-        pr, pc = k + i, k + j
         if pr != k:
             A[[k, pr]] = A[[pr, k]]
             b[[k, pr]] = b[[pr, k]]
+            row_tol[k], row_tol[pr] = row_tol[pr], row_tol[k]
         if pc != k:
             A[:, [k, pc]] = A[:, [pc, k]]
             col_perm[[k, pc]] = col_perm[[pc, k]]
@@ -136,15 +140,15 @@ def _gauss_jordan_per_row(A, b, tol=1e-9):
                 b[r] -= f * b[k]
         rank += 1
     zero_rows = list(range(rank, m))
-    rhs_scale = max(np.abs(b).max(initial=0.0), 1.0)
-    inconsistent = [r for r in zero_rows if abs(b[r]) > tol * rhs_scale]
+    inconsistent = [r for r in zero_rows if abs(b[r]) > FEAS_TOL]
     return A, b, {"rank": rank, "col_perm": col_perm, "zero_rows": zero_rows,
                   "inconsistent_rows": inconsistent}
 
 
 def _gauss_jordan_inputs(rng, count):
     """Random [A | b] systems, m = 0 to 8 rows: dense, integer, sparse
-    and rank-deficient A; every other b consistent with A."""
+    and rank-deficient A, every third one with its rows scaled by
+    10^U(-4, 6); every other b consistent with A."""
     for t in range(count):
         m, n = int(rng.integers(0, 9)), int(rng.integers(1, 9))
         kind = t % 4
@@ -158,6 +162,8 @@ def _gauss_jordan_inputs(rng, count):
             k = int(rng.integers(0, min(m, n) + 1))
             A = (rng.integers(-2, 3, size=(m, k))
                  @ rng.integers(-2, 3, size=(k, n))).astype(float)
+        if t % 3 == 2:  # rows at disparate scales
+            A = A * 10.0 ** rng.uniform(-4, 6, size=(m, 1))
         b = A @ rng.normal(size=n) if t % 2 else rng.normal(size=m)
         yield A, b
 
@@ -170,12 +176,19 @@ def _spans(X, Y):
     return np.abs(X.T @ coef - Y.T).max()
 
 
+def _equilibrated(M):
+    """M with every nonzero row divided by its largest |entry|."""
+    scale = np.abs(M).max(axis=1, initial=0.0, keepdims=True)
+    return M / np.where(scale > 0.0, scale, 1.0)
+
+
 def test_gauss_jordan_reconstruction():
     rng = np.random.default_rng(0)
     for A, b in _gauss_jordan_inputs(rng, 200):
         R, d, info = gauss_jordan_full_pivot(A, b)
-        # [R | d] and the column-permuted [A | b] span the same rows
-        before = np.column_stack([A[:, info["col_perm"]], b])
+        # [R | d] and the column-permuted [A | b] span the same rows; each
+        # row of [A | b] is compared at its own scale
+        before = _equilibrated(np.column_stack([A[:, info["col_perm"]], b]))
         after = np.column_stack([R, d])
         assert _spans(after, before) <= 1e-9
         assert _spans(before, after) <= 1e-9

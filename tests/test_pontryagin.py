@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zonokit import EmptySetError, Zonotope, is_empty
+from zonokit import EmptySetError, Zonotope, is_empty, support
 from zonokit.pontryagin import pontryagin_iterative, pontryagin_onestep
 from zonokit import numerics, oracle, pontryagin
 
@@ -76,6 +76,20 @@ def test_onestep_with_a_zero_generator(norm, zero_in):
     Z1, Z2 = Zonotope([0.0, 0.0], G1), Zonotope([0.0, 0.0], G2)
     S = assert_onestep_certified(Z1, Z2, norm)
     assert np.abs(S.G).sum() > 0.0
+
+
+@pytest.mark.parametrize("norm", numerics.SCALING_NORMS)
+def test_onestep_of_flat_operands_is_exact(norm):
+    # Both operands lie on x2 = 0, so the template has a zero row, which
+    # sizes nothing; the difference is the segment x1 in [-1.4, 1.2].
+    Z1 = Zonotope([0.0, 0.0], [[1.0, 0.5], [0.0, 0.0]])
+    Z2 = Zonotope([0.1, 0.0], [[0.2], [0.0]])
+    S, _ = pontryagin_onestep(Z1, Z2, norm=norm)
+    D = pontryagin_iterative(Z1, Z2)
+    dirs = np.vstack([np.eye(2), -np.eye(2)])
+    want = [1.2, 0.0, 1.4, 0.0]
+    for got in (support(S, dirs), support(D, dirs)):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 def test_onestep_inside_iterative_inside_oracle():
